@@ -1,9 +1,9 @@
 """Benchmark gate: the incremental simulator fast path.
 
 Runs the 500-op synthetic-graph scenario suite through both simulator
-paths, asserts numerical equivalence and the ≥5× contention-scenario
-speedup, and checks the results into ``BENCH_simulator.json`` so every
-run updates the repo's tracked perf trajectory.
+paths and asserts numerical equivalence and the ≥5× contention-scenario
+speedup.  The test writes no file: ``BENCH_simulator.json`` is updated
+only by ``make bench`` (``python -m benchmarks``).
 """
 
 from __future__ import annotations
@@ -15,17 +15,14 @@ from benchmarks.simulator_bench import (
     SPEEDUP_GATE,
     format_report,
     run_simulator_benchmark,
-    write_bench_json,
 )
 
 
 @pytest.fixture(scope="module")
 def bench_report():
     report = run_simulator_benchmark()
-    path = write_bench_json(report)
     print()
     print(format_report(report))
-    print(f"wrote {path}")
     return report
 
 

@@ -81,6 +81,11 @@ class InterferenceTracker:
     history: int | None = DEFAULT_HISTORY
     _observations: dict[PairKey, deque[float]] = field(default_factory=dict)
     _blacklist: set[PairKey] = field(default_factory=set)
+    #: Bumped by every call that can change the blacklist (:meth:`record`,
+    #: :meth:`mark_blacklisted`, :meth:`merge`, :meth:`clear`), so a
+    #: reader that derived something from the blacklist can tell whether
+    #: it is still current without comparing blacklists.
+    changes: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.threshold < 0:
@@ -104,6 +109,7 @@ class InterferenceTracker:
         history.append(slowdown)
         if slowdown > self.threshold:
             self._blacklist.add(key)
+        self.changes += 1
 
     def history_for(self, key_a: Key, key_b: Key) -> "deque[float]":
         """The mutable observation history of a pairing (created if missing).
@@ -127,6 +133,7 @@ class InterferenceTracker:
     def mark_blacklisted(self, key_a: Key, key_b: Key) -> None:
         """Blacklist a pairing directly (see :meth:`history_for`)."""
         self._blacklist.add(_pair_key(key_a, key_b))
+        self.changes += 1
 
     def allowed(self, key_a: Key, key_b: Key) -> bool:
         """Whether the runtime may co-run these kinds."""
@@ -135,6 +142,22 @@ class InterferenceTracker:
     def allowed_with_all(self, key: Key, running_keys: Iterable[Key]) -> bool:
         """Whether ``key`` may co-run with every kind in ``running_keys``."""
         return all(self.allowed(key, other) for other in running_keys)
+
+    def blocked_with(self, key: Key) -> frozenset:
+        """Every kind blacklisted against ``key``.
+
+        ``allowed(key, other)`` is False exactly for the ``other`` in the
+        returned set, so ``blocked_with(key).isdisjoint(kinds)`` answers
+        :meth:`allowed_with_all` for any number of kind lists at the cost
+        of one pass over the blacklist.
+        """
+        blocked = set()
+        for key_a, key_b in self._blacklist:
+            if key_a == key:
+                blocked.add(key_b)
+            if key_b == key:
+                blocked.add(key_a)
+        return frozenset(blocked)
 
     def blacklisted_pairs(self) -> tuple[PairKey, ...]:
         return tuple(sorted(self._blacklist, key=repr))
@@ -152,6 +175,7 @@ class InterferenceTracker:
     def clear(self) -> None:
         self._observations.clear()
         self._blacklist.clear()
+        self.changes += 1
 
     # -- sharing across trackers ---------------------------------------------------
 
@@ -195,3 +219,4 @@ class InterferenceTracker:
                 self._observations[key] = history
             history.extend(values)
         self._blacklist.update(snapshot.blacklist)
+        self.changes += 1

@@ -99,17 +99,42 @@ class InterferenceAwarePolicy:
     tracker has blacklisted against the job's kind are skipped (unless
     *every* open machine is blacklisted, in which case the least-loaded
     open machine is used — starving a job is worse than a bad pairing).
-    The remaining candidates are scored by predicted marginal cost:
+    Each remaining candidate is scored by its predicted time-to-drain
+    once the job joins:
 
-    ``cost = mix_time * job.steps + (mix_time - current_time) * imposed``
+    ``cost = ready + drain(members + job)``
 
-    where ``mix_time`` is the estimated gang-round duration with the job
-    joining, ``current_time`` without it, and ``imposed`` the resident
-    steps that would suffer the slower rounds.  An idle machine scores
-    ``solo_time * job.steps`` — co-location only wins when the model
-    predicts the mix genuinely overlaps well, which is the fleet-level
-    restatement of Strategy 3's "fill idle cores without decreasing
-    system throughput".
+    where ``ready`` is ``max(0, busy_until - now)`` and ``drain`` replays
+    the gang-round dynamics on the memoised co-run estimates (the mix
+    runs at its estimated round time until its shortest member finishes,
+    then the smaller mix at *its* rate, and so on).  Minimising it
+    greedily equalises predicted machine finish times (what balances the
+    fleet) *and* penalises bad pairings (a mix whose round time
+    approaches the sum of the solos drains far slower than a
+    complementary one) — the fleet-level restatement of Strategy 3's
+    "fill idle cores without decreasing system throughput".  The lowest
+    ``(cost, machine index)`` wins.  The job stays queued instead when
+    waiting for a slot on some full machine looks ``patience`` times
+    cheaper:
+
+    ``wait = (ready + (min_remaining - 1) * mix) + drain(survivors + job)``
+
+    **Grouped scoring.**  ``drain`` depends only on the hardware and the
+    member multiset (estimates are canonical), so machines with the same
+    hardware and the same :attr:`~repro.fleet.state.MachineView.load`
+    differ only in ``ready``, and ``+`` and ``*`` are monotone in it.
+    Once per :class:`~repro.fleet.state.FleetState`, the policy groups the
+    accepting machines by ``(hardware, load)``; a group is scored once
+    per job class ``(kind, graph_seed, num_steps, workload)`` from its
+    least ``(ready, index)`` machine (a larger ``ready`` whose cost rounds
+    to the same float is checked for a lower index, so the tie rule is
+    exactly the machine-by-machine one), and only a full group's
+    least-``ready`` machine can make the job wait.  Drain and wait parts
+    are memoised per ``(hardware, load, job class)`` for the run, whole
+    decisions per ``(state, job class)`` until the tracker's blacklist
+    changes — the simulator passes one state object to every ``place``
+    call of a dispatch pass until a placement happens, so a queue full
+    of repeated job classes costs one decision per class.
     """
 
     name = "interference-aware"
@@ -135,45 +160,23 @@ class InterferenceAwarePolicy:
         #: prediction is optimistic; demanding a clear margin keeps the
         #: policy from starving itself on near-ties.
         self.patience = patience
-        #: Memoised drain replays.  A queued job is re-scored against the
-        #: whole fleet at every event until placed, and the drain of a
-        #: (machine, member multiset) is a pure function of the
-        #: estimator's pure step times — so identical replays are served
-        #: from this dict instead of re-walking the subset ladder.  The
-        #: simulator clears it at every run() entry so per-run estimator
-        #: traffic stays reproducible.
-        self._drain_memo: dict[tuple, float] = {}
+        self.clear_memo()
 
     def clear_memo(self) -> None:
-        """Drop memoised drain replays (called at each simulation start)."""
-        self._drain_memo.clear()
+        """Drop every memo (called at each simulation start, so per-run
+        estimator traffic stays reproducible)."""
+        #: Every (hardware, load) of the run, with its memoised costs.
+        self._loads: dict[tuple, _Load] = {}
+        #: Job classes of the run, numbered (cheap memo keys).
+        self._classes: dict[tuple, int] = {}
+        #: The state the groups and decisions below belong to.
+        self._state: FleetState | None = None
+        self._groups: tuple = ((), (), None)
+        self._decisions: dict[tuple, str | None] = {}
+        self._decided_at = -1
 
-    def _drain_time(self, machine_name: str, members: list[tuple[Job, int]]) -> float:
-        """Predicted seconds until ``members`` all finish on ``machine_name``.
-
-        Replays the gang-round dynamics symbolically: the current mix
-        runs at its estimated round time until its shortest member
-        drains, then the shrunken mix at *its* estimated rate, and so
-        on.  Every subset estimate comes from the memoised estimator, so
-        the replay costs a handful of dictionary hits — and the whole
-        replay is itself memoised by the members' canonical signature.
-        """
-        key = (
-            machine_name,
-            tuple(
-                sorted(
-                    (
-                        (job.kind, job.graph_seed, steps, job.workload)
-                        for job, steps in members
-                        if steps > 0
-                    ),
-                    key=lambda entry: entry[:3],
-                )
-            ),
-        )
-        cached = self._drain_memo.get(key)
-        if cached is not None:
-            return cached
+    def _drain(self, machine_name: str, members: list[tuple[Job, int]]) -> float:
+        """Predicted seconds until ``members`` all finish on ``machine_name``."""
         total = 0.0
         current = [(job, steps) for job, steps in members if steps > 0]
         while current:
@@ -185,91 +188,155 @@ class InterferenceAwarePolicy:
             current = [
                 (job, steps - rounds) for job, steps in current if steps - rounds > 0
             ]
-        self._drain_memo[key] = total
         return total
 
-    def _cost_after_join(self, machine: MachineView, job: Job, now: float) -> float:
-        """The machine's predicted time-to-drain once ``job`` joins it.
-
-        Minimising this greedily equalises predicted machine finish
-        times (what balances the fleet) *and* penalises bad pairings
-        (a mix whose round time approaches the sum of the solos drains
-        far slower than a complementary one) in a single number.
-        """
-        members = [
-            (member, machine.remaining_of(member.name)) for member in machine.members
-        ]
-        members.append((job, job.num_steps))
-        ready = max(0.0, machine.busy_until - now)
-        return ready + self._drain_time(machine.machine_name, members)
-
-    def _cost_after_wait(self, machine: MachineView, job: Job, now: float) -> float:
-        """Predicted cost of waiting for a slot on a currently full machine.
-
-        A slot frees once the member with the fewest remaining steps
-        drains (rounds until then run at the members' current mix rate);
-        the job then joins whatever is left and the machine drains as in
-        :meth:`_cost_after_join`.
-        """
-        members = [
-            (member, machine.remaining_of(member.name)) for member in machine.members
-        ]
+    def _wait_parts(self, load: _Load, job: Job) -> tuple[float, float]:
+        """``(min_remaining - 1) * mix`` and ``drain(survivors + job)``: the
+        two parts of waiting for a slot on a full machine holding ``load``."""
+        members = load.members
         current_mix = self.estimator.step_time(
-            machine.machine_name, [member for member, _ in members]
+            load.hardware, [member for member, _ in members]
         )
         min_remaining = min(steps for _, steps in members)
-        wait = max(0.0, machine.busy_until - now) + (min_remaining - 1) * current_mix
         survivors = [
             (member, steps - min_remaining)
             for member, steps in members
             if steps > min_remaining
         ]
         survivors.append((job, job.num_steps))
-        return wait + self._drain_time(machine.machine_name, survivors)
+        return (
+            (min_remaining - 1) * current_mix,
+            self._drain(load.hardware, survivors),
+        )
+
+    def _group(self, fleet: FleetState) -> tuple:
+        """Group ``fleet``'s accepting machines by ``(hardware, load)``.
+
+        Returns ``(open, full, emptiest)``.  ``open`` lists, per group with
+        free slots in first-index order, its :class:`_Load` and its
+        distinct ``ready`` values ascending, each with its lowest machine
+        index.  ``full`` lists, per group of full machines, its
+        :class:`_Load` and least ``ready`` — a draining box's slots open
+        for nobody, so a non-accepting machine is never waited on
+        (declining for one forever would stall the fleet).  ``emptiest``
+        is the open machine with the fewest members, lowest index first.
+        """
+        now = fleet.time
+        loads = self._loads
+        open_groups: dict[_Load, list[tuple[float, int]]] = {}
+        full_groups: dict[_Load, float] = {}
+        emptiest: tuple[int, str] | None = None
+        for index, view in enumerate(fleet.machines):
+            if not view.accepting:
+                continue
+            key = (view.machine_name, view.load)
+            load = loads.get(key)
+            if load is None:
+                load = loads[key] = _Load(view)
+            ready = max(0.0, view.busy_until - now)
+            if view.free_slots > 0:
+                size = len(view.load)
+                if emptiest is None or size < emptiest[0]:
+                    emptiest = (size, view.machine_id)
+                readies = open_groups.get(load)
+                if readies is None:
+                    open_groups[load] = [(ready, index)]
+                else:
+                    readies.append((ready, index))
+            elif view.load:
+                least = full_groups.get(load)
+                if least is None or ready < least:
+                    full_groups[load] = ready
+        open_list = []
+        for load, readies in open_groups.items():
+            readies.sort()
+            distinct = [readies[0]]
+            for entry in readies[1:]:
+                if entry[0] != distinct[-1][0]:
+                    distinct.append(entry)
+            open_list.append((load, distinct))
+        return (
+            open_list,
+            list(full_groups.items()),
+            emptiest[1] if emptiest is not None else None,
+        )
 
     def place(self, job: Job, fleet: FleetState) -> str | None:
-        open_machines = [
-            (index, machine)
-            for index, machine in enumerate(fleet.machines)
-            if machine.accepting and machine.free_slots > 0
-        ]
-        if not open_machines:
+        if fleet is not self._state:
+            self._groups = self._group(fleet)
+            self._state = fleet
+            self._decisions = {}
+            self._decided_at = self.tracker.changes
+        elif self._decided_at != self.tracker.changes:
+            self._decisions = {}
+            self._decided_at = self.tracker.changes
+        job_class = (job.kind, job.graph_seed, job.num_steps, job.workload)
+        try:
+            return self._decisions[job_class]
+        except KeyError:
+            choice = self._decisions[job_class] = self._decide(job, job_class)
+            return choice
+
+    def _decide(self, job: Job, job_class: tuple) -> str | None:
+        open_groups, full_groups, emptiest = self._groups
+        if not open_groups:
             return None
-        compatible = [
-            (index, machine)
-            for index, machine in open_machines
-            if self.tracker.allowed_with_all(job.kind, machine.member_kinds)
-        ]
-        if not compatible:
+        number = self._classes.setdefault(job_class, len(self._classes))
+        blocked = self.tracker.blocked_with(job.kind)
+        best: tuple[float, int] | None = None
+        for load, readies in open_groups:
+            if blocked and not blocked.isdisjoint(load.kinds):
+                continue
+            drain = load.joins.get(number)
+            if drain is None:
+                drain = load.joins[number] = self._drain(
+                    load.hardware, [*load.members, (job, job.num_steps)]
+                )
+            ready, index = readies[0]
+            cost = ready + drain
+            for later_ready, later_index in readies[1:]:
+                # A larger ready can still round to the same cost; the
+                # lowest index among equal costs wins, as machine by
+                # machine.
+                if later_ready + drain != cost:
+                    break
+                index = min(index, later_index)
+            if best is None or (cost, index) < best:
+                best = (cost, index)
+        if best is None:
             # Every open machine pairs badly: fall back to the emptiest one
             # rather than queueing the job forever.
-            index, machine = min(
-                open_machines, key=lambda im: (len(im[1].members), im[0])
-            )
-            return machine.machine_id
-        best: tuple[float, int] | None = None
-        chosen: str | None = None
-        for index, machine in compatible:
-            score = (self._cost_after_join(machine, job, fleet.time), index)
-            if best is None or score < best:
-                best = score
-                chosen = machine.machine_id
-        assert best is not None
+            return emptiest
         # Placing now is not always right.  When every open machine is a
         # bad fit — say an idle thermally-limited laptop while a fast box
         # drains its last rounds — it can be cheaper to stay queued and
         # join the fast box once a slot frees.  Progress is guaranteed: a
         # full machine always has a pending round end, and the simulator
         # re-dispatches the queue on every event.
-        for machine in fleet.machines:
-            # Never wait on a non-accepting machine: a draining box's
-            # slots open for nobody, so the predicted wait is a mirage
-            # (and declining for it forever would stall the fleet).
-            if machine.free_slots > 0 or not machine.members or not machine.accepting:
-                continue
-            if self._cost_after_wait(machine, job, fleet.time) * self.patience < best[0]:
+        for load, ready in full_groups:
+            parts = load.waits.get(number)
+            if parts is None:
+                parts = load.waits[number] = self._wait_parts(load, job)
+            wait, drain = parts
+            if (ready + wait + drain) * self.patience < best[0]:
                 return None
-        return chosen
+        return self._state.machines[best[1]].machine_id
+
+
+class _Load:
+    """One ``(hardware, load)`` of a run: the members of a machine holding
+    it, and its memoised join drains and wait parts by job-class number."""
+
+    __slots__ = ("hardware", "members", "kinds", "joins", "waits")
+
+    def __init__(self, view: MachineView) -> None:
+        self.hardware = view.machine_name
+        self.members = tuple(
+            (member, view.remaining_of(member.name)) for member in view.members
+        )
+        self.kinds = view.member_kinds
+        self.joins: dict[int, float] = {}
+        self.waits: dict[int, tuple[float, float]] = {}
 
 
 #: Policy factories by CLI name.  Each takes the simulator's shared

@@ -691,13 +691,17 @@ def run_sharded(
 
     def dispatch() -> None:
         nonlocal overhead, queue_view
+        # One state per pass until a placement, as in the compressed loop.
+        state = None
         for job in list(pending.values()):
-            state = fleet_state()
+            if state is None:
+                state = fleet_state()
             tick = _time.perf_counter()
             choice = sim.policy.place(job, state)
             overhead += _time.perf_counter() - tick
             if choice is None:
                 continue
+            state = None
             machine = by_id[choice]
             if machine.free_slots <= 0:
                 raise RuntimeError(

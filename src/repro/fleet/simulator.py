@@ -1888,13 +1888,19 @@ class FleetSimulator:
 
         def dispatch() -> None:
             nonlocal overhead, queue_view
+            # A decline changes nothing a policy can see, so one state
+            # serves the pass until a placement (the reference loop
+            # builds one per job, which the equivalence suite compares).
+            state = None
             for job in list(pending.values()):
-                state = fleet_state()
+                if state is None:
+                    state = fleet_state()
                 tick = _time.perf_counter()
                 choice = self.policy.place(job, state)
                 overhead += _time.perf_counter() - tick
                 if choice is None:
                     continue
+                state = None
                 machine = by_id[choice]
                 if machine.free_slots <= 0:
                     raise RuntimeError(

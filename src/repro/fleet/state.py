@@ -23,6 +23,7 @@ from functools import cached_property
 
 from repro.core.interference import InterferenceTracker
 from repro.fleet.job import Job
+from repro.scenarios import Workload
 
 #: Relative co-run slowdown (vs the slower solo estimate) above which a
 #: workload pairing is blacklisted.  Gang rounds of two jobs land
@@ -72,9 +73,28 @@ class MachineView:
         """Every job currently bound to the machine (running or waiting)."""
         return self.residents + self.waiting
 
-    @property
+    @cached_property
     def member_kinds(self) -> tuple[str, ...]:
         return tuple(job.kind for job in self.members)
+
+    @cached_property
+    def load(self) -> tuple[tuple[str, int, int, Workload], ...]:
+        """Every member as ``(kind, graph_seed, remaining steps, workload)``,
+        sorted by the first three.
+
+        Step-time estimates depend only on the member multiset, so two
+        views of the same hardware with equal loads drain identically and
+        differ, to a policy, only in ``busy_until``.
+        """
+        return tuple(
+            sorted(
+                (
+                    (job.kind, job.graph_seed, self.remaining_of(job.name), job.workload)
+                    for job in self.members
+                ),
+                key=lambda entry: entry[:3],
+            )
+        )
 
     @cached_property
     def _remaining_map(self) -> dict[str, int]:

@@ -61,6 +61,42 @@ class TestInterferenceTracker:
         assert not tracker.allowed_with_all("A", ["C", "B"])
         assert tracker.allowed_with_all("A", ["C", "D"])
 
+    def test_blocked_with(self):
+        tracker = InterferenceTracker(threshold=0.3)
+        assert tracker.blocked_with("A") == frozenset()
+        tracker.record("B", "A", 0.9)
+        tracker.mark_blacklisted("A", "A")
+        tracker.mark_blacklisted("C", "D")
+        assert tracker.blocked_with("A") == {"A", "B"}
+        assert tracker.blocked_with("B") == {"A"}
+        assert tracker.blocked_with("E") == frozenset()
+        # The set answers allowed_with_all for any kind list.
+        for key in "ABCDE":
+            for others in (["A"], ["B", "C"], ["D", "E"], []):
+                assert tracker.blocked_with(key).isdisjoint(
+                    others
+                ) == tracker.allowed_with_all(key, others)
+
+    def test_changes_counts_blacklist_writers(self):
+        tracker = InterferenceTracker(threshold=0.3)
+        assert tracker.changes == 0
+        tracker.record("A", "B", 0.1)
+        assert tracker.changes == 1
+        tracker.mark_blacklisted("A", "C")
+        assert tracker.changes == 2
+        other = InterferenceTracker(threshold=0.3)
+        other.record("C", "D", 0.9)
+        tracker.merge(other)
+        assert tracker.changes == 3
+        tracker.merge(other.snapshot())
+        assert tracker.changes == 4
+        # Bulk history appends never touch the blacklist.
+        tracker.history_for("A", "B").append(0.2)
+        assert tracker.changes == 4
+        tracker.clear()
+        assert tracker.changes == 5
+        assert tracker.blocked_with("A") == frozenset()
+
     def test_observations_and_clear(self):
         tracker = InterferenceTracker()
         tracker.record("A", "B", 0.1)
