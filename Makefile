@@ -17,8 +17,8 @@ help:
 	@echo "                   equivalence + monotonicity gates)"
 	@echo "make fleet-stream- open-loop streaming benchmark (overload/admission"
 	@echo "                   gates + the 1,000,000-job compressed smoke)"
-	@echo "make fleet-xxl   - sharded-engine benchmark (100k jobs / 1,000 machines:"
-	@echo "                   shard-equivalence + speedup gates)"
+	@echo "make fleet-xxl   - thousand-machine benchmark (100k jobs / 1,000 machines:"
+	@echo "                   determinism + wall-time trend gates)"
 	@echo "make chaos       - resilience suite: checkpoint-overhead, kill-and-"
 	@echo "                   resume and chaos-injection gates, updates the"
 	@echo "                   resilience section of BENCH_fleet.json"

@@ -326,8 +326,6 @@ def run_fleet(
     config: RuntimeConfig | None = None,
     executor=None,
     compressed: bool = True,
-    shards: int | None = None,
-    fleet_backend: str = "serial",
     faults=None,
     checkpoint=None,
     store=None,
@@ -355,14 +353,7 @@ def run_fleet(
     ``"load-balanced"``, ``"interference-aware"``).  ``compressed``
     selects the round-compression fast path (default) or the one-event-
     per-round reference loop — both produce the identical deterministic
-    outcome.  ``shards`` partitions the machines into that many disjoint
-    groups advanced independently between fleet-wide synchronisation
-    points (see :mod:`repro.fleet.sharding`); ``fleet_backend``
-    (``"serial"``/``"thread"``/``"process"``) selects how shard windows
-    execute.  The sharded engine requires the compressed path and is
-    byte-identical to it, so the default (``shards=None``) changes
-    nothing for existing call sites.  ``faults`` injects a deterministic
-    fault plan (machine
+    outcome.  ``faults`` injects a deterministic fault plan (machine
     crashes, joins, drains, stragglers, preemptions): a
     :class:`~repro.fleet.FaultPlan`, a registered fault-spec name
     (:func:`repro.scenarios.available_fault_specs`), a spec dict or a
@@ -430,8 +421,6 @@ def run_fleet(
         config=config,
         max_corun=max_corun if max_corun is not None else DEFAULT_MAX_CORUN,
         compressed=compressed,
-        shards=shards,
-        shard_backend=fleet_backend,
         faults=faults,
         admission=admission,
     )
@@ -440,8 +429,6 @@ def run_fleet(
         policy_name=getattr(simulator.policy, "name", str(policy)),
         max_corun=max_corun if max_corun is not None else DEFAULT_MAX_CORUN,
         compressed=compressed,
-        shards=shards,
-        fleet_backend=fleet_backend,
         admission=admission,
         faults=faults,
         generated_spec=generated_spec,
@@ -514,8 +501,6 @@ def _fleet_config(
     policy_name,
     max_corun,
     compressed,
-    shards,
-    fleet_backend,
     admission,
     faults,
     generated_spec,
@@ -561,13 +546,6 @@ def _fleet_config(
         "faults": fault_spec,
         "arrivals": arrival_spec,
     }
-    # Shard config is recorded (so ``repro report diff`` shows the shard
-    # delta) but, like OVERHEAD_KEYS, it never enters the payload digest:
-    # a sharded and an unsharded run of the same trace digest-match.  The
-    # key is only present when sharding is on, so existing unsharded
-    # run_ids are unchanged.
-    if shards is not None:
-        config["sharding"] = {"shards": shards, "backend": fleet_backend}
     try:
         return jsonify(config)
     except RecordingError:

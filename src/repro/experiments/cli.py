@@ -14,9 +14,7 @@ experiment additionally takes ``--policy``, ``--machines``,
 thousand-job traces straight from the command line — plus the open-loop
 knobs ``--arrival-process`` (``--list-arrival-specs``), the
 admission-control trio ``--queue-limit`` / ``--deadline`` /
-``--shed-policy``, and the sharded-engine pair ``--shards`` /
-``--fleet-backend`` (parallel machine-group simulation, byte-identical
-to the single-process path).
+``--shed-policy``.
 
 The experiments execute on the parallel sweep engine: ``--jobs``/
 ``--backend`` control the fan-out (``--jobs N`` alone implies the
@@ -66,8 +64,6 @@ def _run_one(
     queue_limit: int | None = None,
     deadline: float | None = None,
     shed_policy: str | None = None,
-    shards: int | None = None,
-    fleet_backend: str | None = None,
 ) -> str:
     module = ALL_EXPERIMENTS[name]
     # Forward only the options the experiment's run() accepts.  Inspect
@@ -112,10 +108,6 @@ def _run_one(
         kwargs["deadline"] = deadline
     if "shed_policy" in parameters and shed_policy is not None:
         kwargs["shed_policy"] = shed_policy
-    if "shards" in parameters and shards is not None:
-        kwargs["shards"] = shards
-    if "fleet_backend" in parameters and fleet_backend is not None:
-        kwargs["fleet_backend"] = fleet_backend
     result = module.run(**kwargs)
     return module.format_report(result)
 
@@ -312,23 +304,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="fleet experiment only: how admission control sheds under "
         "overload (default: reject-at-arrival)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fleet experiment only: advance the fleet as N independent "
-        "machine shards between synchronisation points (byte-identical to "
-        "the default single-process path)",
-    )
-    parser.add_argument(
-        "--fleet-backend",
-        choices=BACKENDS,
-        default=None,
-        help="fleet experiment only: execution backend for shard windows "
-        "(default: serial; use process with --shards to parallelise across "
-        "cores)",
     )
     parser.add_argument(
         "--list-arrival-specs",
@@ -540,8 +515,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 queue_limit=args.queue_limit,
                 deadline=args.deadline,
                 shed_policy=args.shed_policy,
-                shards=args.shards,
-                fleet_backend=args.fleet_backend,
             )
             elapsed = time.time() - start
             suffix = f" @ {machine}" if machine is not None else ""

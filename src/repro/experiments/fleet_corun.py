@@ -100,8 +100,6 @@ def run(
     deadline: float | None = None,
     shed_policy: str = "reject-at-arrival",
     compressed: bool = True,
-    shards: int | None = None,
-    fleet_backend: str = "serial",
     executor: SweepExecutor | None = None,
     fault_plan: str | dict | None = None,
     fault_seed: int | None = None,
@@ -126,12 +124,6 @@ def run(
     with ``crash_rate``/``straggler_rate`` generates a seeded random
     plan over the trace's span (``--fault-seed --crash-rate
     --straggler-rate``).  Every policy replays the identical plan.
-
-    ``shards`` runs the sharded fleet engine (``--shards``), advancing
-    disjoint machine groups independently between synchronisation
-    points; ``fleet_backend`` picks the shard execution backend
-    (``--fleet-backend process`` parallelises across cores).  Results
-    are byte-identical to the default single-process path.
     """
     from repro.fleet.arrivals import AdmissionController, resolve_arrivals
     from repro.fleet.faults import generate_fault_plan, resolve_fault_plan
@@ -194,8 +186,6 @@ def run(
             policy=policy,
             estimator=estimator,
             compressed=compressed,
-            shards=shards,
-            shard_backend=fleet_backend,
             admission=admission,
         )
         result = simulator.run(jobs, faults=plan)

@@ -9,24 +9,17 @@ rounds run on the existing merged-graph co-run path with cached
 step-time estimates (:mod:`repro.fleet.estimates`).  The simulator's
 round-compression fast path batch-advances stable job mixes in closed
 form — O(mix changes) heap events instead of O(total training steps) —
-and stays byte-identical to the seed loop
-(``FleetSimulator(compressed=False)``), which keeps 1,000-job traces
-interactive and 5,000-job traces feasible.
+and a boundary calendar finds the machines due at each event without
+scanning the fleet.  It stays byte-identical to the seed loop
+(``FleetSimulator(compressed=False)``), the independent reference
+oracle, which keeps 1,000-job traces interactive and 100,000-job /
+1,000-machine streams feasible.
 
 Deterministic fault injection (:mod:`repro.fleet.faults`) layers machine
 churn, graceful drains, straggler windows and job preemption over any
 trace as a declarative seeded :class:`~repro.fleet.faults.FaultPlan` —
 consulted by both simulator loops, with the compressed path still
 byte-identical to the reference loop under faults.
-
-The sharded engine (:mod:`repro.fleet.sharding`) partitions the
-machines into disjoint shards advanced independently between fleet-wide
-synchronisation points — placements and fault/admission instants are
-the only cross-shard coupling — optionally fanning shard windows out
-over :class:`~repro.sweep.SweepExecutor` worker processes, with a
-deterministic input-ordered merge that keeps
-``FleetSimulator(shards=N)`` byte-identical to the single-process
-compressed path for every N and backend.
 
 Open-loop service (:mod:`repro.fleet.arrivals`): seeded lazy arrival
 processes (Poisson, diurnal, bursty heavy-tail, replay) stream jobs
@@ -59,7 +52,6 @@ from repro.fleet.estimates import (
     corun_step_time,
     scale_step_time,
 )
-from repro.fleet.sharding import FANOUT_MIN_DUE, advance_shard, run_sharded
 from repro.fleet.faults import (
     DEFAULT_MAX_RETRIES,
     FaultInjector,
@@ -112,7 +104,6 @@ __all__ = [
     "DEFAULT_MAX_RETRIES",
     "DiurnalArrivals",
     "EstimatorStats",
-    "FANOUT_MIN_DUE",
     "FaultInjector",
     "FaultPlan",
     "FirstFitPolicy",
@@ -141,7 +132,6 @@ __all__ = [
     "ReplayArrivals",
     "StepTimeEstimator",
     "Straggler",
-    "advance_shard",
     "arrival_from_dict",
     "available_policies",
     "build_arrivals",
@@ -154,7 +144,6 @@ __all__ = [
     "make_policy",
     "resolve_arrivals",
     "resolve_fault_plan",
-    "run_sharded",
     "scale_step_time",
     "validate_trace",
 ]

@@ -96,7 +96,7 @@ class EstimatorStats:
 
     ``cache_hits``/``cache_misses`` count lookups against the shared
     on-disk estimate cache (zero when no cache is enabled): a hit means
-    the estimate was loaded instead of simulated, so warm shard workers
+    the estimate was loaded instead of simulated, so warm simulators
     and repeat prewarms skip the sweep fan-out entirely.
     """
 
@@ -108,13 +108,6 @@ class EstimatorStats:
     @property
     def memo_hits(self) -> int:
         return self.requests - self.computed
-
-    def merge(self, other: "EstimatorStats") -> None:
-        """Fold another stats delta (e.g. from a shard worker) into this one."""
-        self.requests += other.requests
-        self.computed += other.computed
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
 
 
 @dataclass
@@ -141,9 +134,9 @@ class StepTimeEstimator:
         """The shared on-disk estimate cache (the executor's by default).
 
         Estimates live under their own ``"estimate"`` content-key
-        namespace so any process holding the same cache root — shard
-        workers included — shares them with the same atomic
-        sharded-pickle discipline as :class:`SweepCache` task results.
+        namespace so any process holding the same cache root shares
+        them with the same atomic sharded-pickle discipline as
+        :class:`SweepCache` task results.
         """
         if self.cache is not None:
             return self.cache
@@ -203,18 +196,6 @@ class StepTimeEstimator:
             self._memo[key] = value
         return value
 
-    def memo_snapshot(self) -> dict[tuple, float]:
-        """A copy of the in-memory memo, for shipping to shard workers."""
-        return dict(self._memo)
-
-    def merge_memo(self, delta: dict[tuple, float]) -> None:
-        """Fold a worker's new memo entries back in on fleet sync.
-
-        Estimates are pure functions of their key, so collisions are
-        value-identical and last-writer-wins is safe.
-        """
-        self._memo.update(delta)
-
     def solo_time(self, machine_name: str, job: Job) -> float:
         """The job's isolated (no co-runner) step time on ``machine_name``."""
         return self.step_time(machine_name, (job,))
@@ -262,8 +243,8 @@ class StepTimeEstimator:
                     continue
                 seen.add(key)
                 # Dedupe against the shared on-disk estimate cache:
-                # warm simulators (repeat policies, shard workers) fill
-                # the memo from disk instead of fanning the mix out
+                # warm simulators (repeat policies, other processes)
+                # fill the memo from disk instead of fanning the mix out
                 # through the sweep engine again.
                 hit, cached = self._cache_lookup(cache, machine_name, entries)
                 if hit:

@@ -34,8 +34,12 @@ intermediate round boundaries lazily:
   the reference loop does, so every boundary, completion time and
   utilisation figure is **bit-identical**;
 * before any event is handled, machines with unflushed boundaries at or
-  before ``now`` replay them in global ``(time, push-order)`` order, so
-  the interference trackers ingest the very same observation sequence;
+  before ``now`` replay them in global ``(time, machine index)`` order,
+  so the interference trackers ingest the very same observation
+  sequence.  A **boundary calendar** — a heap of ``(next unflushed
+  boundary, machine index, epoch)`` — finds the due machines, so
+  bringing the fleet to ``now`` costs O(due · log) rather than an
+  O(machines) scan per event;
 * a placement onto a mid-segment machine truncates its segment to the
   current round (the new job joins at the next boundary, as always), and
   while the queue is non-empty every segment is clamped to one round —
@@ -121,7 +125,7 @@ from repro.fleet.state import (
     Placement,
 )
 from repro.hardware.zoo import get_machine
-from repro.sweep.executor import BACKENDS, SweepExecutor
+from repro.sweep.executor import SweepExecutor
 
 #: Default number of jobs allowed to share one machine (the paper's
 #: co-run studies pair two workloads; capacity 2 is the sweet spot where
@@ -682,17 +686,6 @@ class FleetSimulator:
     series_window:
         Width, in simulated seconds, of the windowed queue-depth /
         throughput / goodput series on :class:`FleetResult`.
-    shards:
-        ``None`` (default) keeps the single-event-loop paths above.  An
-        integer ``>= 1`` runs the sharded engine
-        (:mod:`repro.fleet.sharding`): machines are partitioned into
-        that many groups which advance independently between fleet-wide
-        synchronisation points, byte-identical to the compressed path.
-        Requires ``compressed=True``.
-    shard_backend:
-        Sweep-executor backend (``"serial"``, ``"thread"``,
-        ``"process"``) shard groups fan out on during wide
-        synchronisation windows; ``"serial"`` advances them inline.
     """
 
     def __init__(
@@ -709,10 +702,6 @@ class FleetSimulator:
         faults: "FaultPlan | FaultInjector | dict | str | None" = None,
         admission: "AdmissionController | dict | None" = None,
         series_window: float = 25.0,
-        shards: int | None = None,
-        shard_backend: str = "serial",
-        shard_retry: "RetryPolicy | None" = None,
-        shard_chaos: "object | None" = None,
     ) -> None:
         if not machines:
             raise ValueError("a fleet needs at least one machine")
@@ -720,30 +709,6 @@ class FleetSimulator:
             raise ValueError("max_corun must be at least 1")
         if series_window <= 0:
             raise ValueError("series_window must be positive")
-        if shards is not None:
-            shards = int(shards)
-            if shards < 1:
-                raise ValueError("shards must be at least 1")
-            if not compressed:
-                raise ValueError(
-                    "the sharded engine runs on the compressed path: "
-                    "shards= requires compressed=True"
-                )
-        if shard_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown shard backend {shard_backend!r}; pick one of {BACKENDS}"
-            )
-        self.shards = shards
-        self.shard_backend = shard_backend
-        #: Retry policy for shard fan-out workers (None picks
-        #: :data:`repro.fleet.sharding.DEFAULT_SHARD_RETRY`: shard tasks
-        #: are pure, so crashed/hung workers are always recoverable by a
-        #: local degrade) and an optional chaos plan for them.
-        self.shard_retry = shard_retry
-        self.shard_chaos = shard_chaos
-        #: Executor counters of the last sharded run's fan-out
-        #: (:class:`~repro.sweep.executor.SweepStats`), ``None`` before.
-        self.shard_stats = None
         for name in machines:
             get_machine(name)  # fail fast on dangling zoo names
         self.machine_names = tuple(machines)
@@ -771,7 +736,7 @@ class FleetSimulator:
         self._tracker_baseline: "InterferenceSnapshot | None" = None
         #: Per-run checkpoint plumbing, set by run() for the duration of
         #: the event loop (the loops read them instead of new parameters
-        #: so the three runner signatures stay identical).
+        #: so the two runner signatures stay identical).
         self._ckpt = None
         self._resume_payload: dict | None = None
 
@@ -852,11 +817,7 @@ class FleetSimulator:
             state = resume_from.get("state")
             if not isinstance(state, dict):
                 raise CheckpointError("resume payload carries no state dict")
-            expected_mode = (
-                "sharded"
-                if self.shards is not None
-                else ("compressed" if self.compressed else "reference")
-            )
+            expected_mode = "compressed" if self.compressed else "reference"
             if state.get("mode") != expected_mode:
                 raise CheckpointError(
                     f"checkpoint was written by the {state.get('mode')!r} loop "
@@ -929,14 +890,7 @@ class FleetSimulator:
                 machines, [], [], [], [], (), 0, 0.0, 0,
                 requests_before, computed_before,
             )
-        if self.shards is not None:
-            from repro.fleet.sharding import run_sharded
-
-            runner = lambda *args: run_sharded(self, *args)  # noqa: E731
-        elif self.compressed:
-            runner = self._run_compressed
-        else:
-            runner = self._run_reference
+        runner = self._run_compressed if self.compressed else self._run_reference
         self._ckpt = checkpoint
         self._resume_payload = resume_from
         try:
@@ -1206,8 +1160,7 @@ class FleetSimulator:
             # index (machine ids are dense ``m<index>``), not a global
             # sequence counter: equal-instant round ends then replay in
             # an order reconstructible from per-machine state alone,
-            # which the compressed ``sync_to`` and the sharded engine's
-            # log merge both rely on.
+            # which the compressed loop's boundary calendar relies on.
             heapq.heappush(
                 events,
                 (machine.busy_until, _ROUND_END, int(machine.machine_id[1:]),
@@ -1555,6 +1508,14 @@ class FleetSimulator:
         #: Lazy arrival pull — see _run_reference: one future arrival in
         #: the heap, byte-identical to pushing the trace up front.
         events: list[tuple[float, int, int, object]] = []
+        #: Boundary calendar: ``(next unflushed boundary, machine index,
+        #: epoch)`` for every machine with a running segment, so
+        #: ``sync_to`` pops the due machines instead of scanning the
+        #: fleet.  An entry is stale once the machine's ``round_active``,
+        #: ``epoch`` or ``busy_until`` no longer match it; stale entries
+        #: are dropped when popped.  Not checkpointed: a resume rebuilds
+        #: it from the restored machines.
+        calendar: list[tuple[float, int, int]] = []
         arrivals_pulled = 0
         ckpt = self._ckpt
 
@@ -1602,6 +1563,12 @@ class FleetSimulator:
             by_id.clear()
             by_id.update((m.machine_id, m) for m in machines)
             queue_view = None
+            calendar = [
+                (m.busy_until, index, m.epoch)
+                for index, m in enumerate(machines)
+                if m.round_active
+            ]
+            heapq.heapify(calendar)
 
         def capture() -> dict:
             return {
@@ -1653,10 +1620,12 @@ class FleetSimulator:
             if queue_view is None:
                 queue_view = tuple(pending.values())
             # Dirty-flag cache read, as in the reference loop: only
-            # touched machines pay the view() rebuild call.
+            # touched machines pay the view() rebuild call.  A list
+            # comprehension builds the thousand-machine tuple faster
+            # than a generator.
             return FleetState(
                 time=now,
-                machines=tuple(m._view_cache or m.view() for m in machines),
+                machines=tuple([m._view_cache or m.view() for m in machines]),
                 queue=queue_view,
                 queue_limit=queue_limit,
             )
@@ -1771,39 +1740,60 @@ class FleetSimulator:
             loop's heap pops equal-time round ends, now that round-end
             events carry the machine's stable numeric index as their tie
             key — so shared interference histories evolve identically;
-            pair-free segments batch through :func:`bulk_flush`.  While
-            the queue is non-empty only ``own``'s boundary at exactly
-            ``now_time`` is flushed: every other machine then has its
-            own heap event, and the reference loop dispatches between
-            them.  The stable key is what lets the sharded engine
-            reconstruct this exact order from independently advanced
-            shard logs (:mod:`repro.fleet.sharding`).
+            pair-free segments batch through :func:`bulk_flush`.  The
+            calendar only finds the due machines: a co-run machine
+            replays its rounds through a local heap and goes back onto
+            the calendar once, at its first boundary past the horizon.
+            While the queue is non-empty only ``own``'s boundary at
+            exactly ``now_time`` is flushed, after every strictly earlier
+            one: every other machine then has its own heap event, and
+            the reference loop dispatches between them.
             """
-            empty_queue = not pending
+            inclusive = not pending
+            # Calendar pops arrive in (time, index) order, so the list
+            # of due co-run machines is built already heap-ordered.
             flushable: list[tuple[float, int]] = []
-            for index, machine in enumerate(machines):
-                if not machine.round_active:
-                    continue
-                boundary = machine.busy_until
-                allow_now = empty_queue or machine is own
-                if boundary < now_time or (boundary == now_time and allow_now):
-                    if machine.seg_records:
-                        flushable.append((boundary, index))
-                    else:
-                        bulk_flush(machine, now_time, allow_now)
-            if not flushable:
-                return
-            heapq.heapify(flushable)
+            while calendar:
+                boundary, index, epoch = calendar[0]
+                if boundary > now_time or (boundary == now_time and not inclusive):
+                    break
+                heapq.heappop(calendar)
+                machine = machines[index]
+                if (
+                    not machine.round_active
+                    or machine.epoch != epoch
+                    or machine.busy_until != boundary
+                ):
+                    continue  # stale: truncated, restarted or flushed
+                if machine.seg_records:
+                    flushable.append((boundary, index))
+                else:
+                    bulk_flush(machine, now_time, inclusive)
+                    if machine.round_active:
+                        heapq.heappush(
+                            calendar, (machine.busy_until, index, machine.epoch)
+                        )
             while flushable:
                 boundary, index = heapq.heappop(flushable)
                 machine = machines[index]
                 flush_round(machine, boundary)
                 if machine.round_active:
                     nxt = machine.busy_until
-                    if nxt < now_time or (
-                        nxt == now_time and (empty_queue or machine is own)
-                    ):
+                    if nxt < now_time or (nxt == now_time and inclusive):
                         heapq.heappush(flushable, (nxt, index))
+                    else:
+                        heapq.heappush(calendar, (nxt, index, machine.epoch))
+            if own is not None and not inclusive:
+                while own.round_active and own.busy_until == now_time:
+                    if own.seg_records:
+                        flush_round(own, now_time)
+                    else:
+                        bulk_flush(own, now_time, True)
+                if own.round_active:
+                    heapq.heappush(
+                        calendar,
+                        (own.busy_until, int(own.machine_id[1:]), own.epoch),
+                    )
 
         def truncate(machine: MachineState) -> None:
             """Clamp a running segment to its current round (mix about to
@@ -1811,9 +1801,11 @@ class FleetSimulator:
             if machine.round_active and machine.seg_rounds_left > 1:
                 machine.seg_rounds_left = 1
                 machine.epoch += 1
+                index = int(machine.machine_id[1:])
+                heapq.heappush(calendar, (machine.busy_until, index, machine.epoch))
                 heapq.heappush(
                     events,
-                    (machine.busy_until, _ROUND_END, int(machine.machine_id[1:]),
+                    (machine.busy_until, _ROUND_END, index,
                      (machine.machine_id, machine.epoch)),
                 )
 
@@ -1880,14 +1872,17 @@ class FleetSimulator:
             for _ in range(rounds - 1):
                 end += round_time
             machine.epoch += 1
+            index = int(machine.machine_id[1:])
+            heapq.heappush(calendar, (machine.busy_until, index, machine.epoch))
             heapq.heappush(
                 events,
-                (end, _ROUND_END, int(machine.machine_id[1:]),
-                 (machine.machine_id, machine.epoch)),
+                (end, _ROUND_END, index, (machine.machine_id, machine.epoch)),
             )
 
         def dispatch() -> None:
             nonlocal overhead, queue_view
+            if not pending:
+                return
             # A decline changes nothing a policy can see, so one state
             # serves the pass until a placement (the reference loop
             # builds one per job, which the equivalence suite compares).

@@ -7,7 +7,7 @@ Three pieces, one failure story:
   :func:`resume_fleet` / ``python -m repro resume <run_id>``.
 * :class:`~repro.sweep.retry.RetryPolicy` (re-exported here) — per-task
   timeouts, bounded backoff-with-jitter retries, crash/hang detection
-  and quarantine for sweep workers and the sharded fleet fan-out.
+  and quarantine for sweep workers.
 * :mod:`repro.resilience.chaos` — seeded, deterministic injection of
   worker crashes, hangs, cache rot and mid-run interrupts, so the
   recovery paths above are *gated*, not just present.

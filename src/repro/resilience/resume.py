@@ -64,7 +64,9 @@ def resume_fleet(
             f"run {full_id[:12]} recorded no arrival spec; cannot rebuild its trace"
         )
     admission = config.get("admission") or {}
-    sharding = config.get("sharding") or {}
+    # Manifests written by the retired sharded engine also carry a
+    # ``"sharding"`` key; it is ignored, and their ``"sharded"``
+    # snapshots fail the simulator's loop-mode check.
 
     from repro.api import run_fleet
 
@@ -74,8 +76,6 @@ def resume_fleet(
         policy=config["policy"],
         max_corun=config.get("max_corun"),
         compressed=config.get("compressed", True),
-        shards=sharding.get("shards"),
-        fleet_backend=sharding.get("backend", "serial"),
         faults=config.get("faults"),
         queue_limit=admission.get("queue_limit"),
         deadline=admission.get("deadline"),

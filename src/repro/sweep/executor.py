@@ -388,10 +388,20 @@ class SweepExecutor:
             outstanding = []
             failed: list[int] = []
             submitted: list[tuple[int, Future]] = []
-            for i in batch:
-                attempts[i] += 1
-                submitted.append((i, self._submit(pool, tasks[i], base + i, attempts[i])))
             pool_dead = False
+            for position, i in enumerate(batch):
+                try:
+                    future = self._submit(pool, tasks[i], base + i, attempts[i] + 1)
+                except BrokenExecutor:
+                    # A worker of this very batch died before the batch
+                    # was fully submitted.  The unsent tasks never ran:
+                    # resubmit them next round without charging them.
+                    self._fail_pool()
+                    pool_dead = True
+                    outstanding.extend(batch[position:])
+                    break
+                attempts[i] += 1
+                submitted.append((i, future))
             for i, future in submitted:
                 if pool_dead:
                     # The pool died earlier this round.  Futures that

@@ -5,8 +5,10 @@ multi-round segments; these tests pin the contract that it is a pure
 optimisation — ``FleetSimulator(compressed=True)`` and the seed
 ``compressed=False`` loop produce byte-identical deterministic outcomes
 (``FleetResult.to_dict(include_overhead=False)``) — plus the satellite
-guarantees around ``canonical_mix`` signature stability and estimator
-memo accounting.
+guarantees around ``canonical_mix`` signature stability, estimator
+memo accounting and the prewarm's on-disk dedupe.  The fast loop's
+boundary calendar is covered by the fault/admission traces below, which
+also compare the full fleet ``InterferenceTracker`` snapshot.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import pytest
 
 from repro.core.config import RuntimeConfig
 from repro.fleet import (
+    AdmissionController,
     FleetSimulator,
     Job,
     StepTimeEstimator,
     canonical_mix,
     corun_step_time,
+    generate_fault_plan,
     generate_trace,
 )
 from repro.fleet.estimates import EstimatorStats
@@ -349,3 +353,104 @@ class TestMixPrewarm:
     def test_prewarm_rejects_bad_max_corun(self):
         with pytest.raises(ValueError):
             StepTimeEstimator().prewarm(["laptop-4c"], [job("a")], max_corun=0)
+
+
+POLICIES = ("first-fit", "load-balanced", "interference-aware")
+
+MACHINES = ["desktop-8c", "laptop-4c", "cloud-vm-16v", "desktop-8c", "arm-server-64c"]
+
+ADMISSION = dict(queue_limit=4, deadline=12.0, shed_policy="drop-oldest")
+
+
+def calendar_trace(num_jobs=50, seed=0, **kwargs):
+    kwargs.setdefault("workloads", (SYN_A, SYN_B, SYN_C))
+    kwargs.setdefault("min_steps", 2)
+    kwargs.setdefault("max_steps", 25)
+    kwargs.setdefault("mean_interarrival", 1.5)
+    return generate_trace(num_jobs, seed=seed, **kwargs)
+
+
+def fault_plan(jobs, seed=3):
+    horizon = max(1.0, jobs[-1].arrival_time * 1.5)
+    return generate_fault_plan(
+        [f"m{i}" for i in range(len(MACHINES))],
+        horizon=horizon,
+        seed=seed,
+        crash_rate=0.5,
+        straggler_rate=0.5,
+        preempt_rate=0.3,
+        job_names=[job.name for job in jobs],
+        join_machines=["laptop-4c"],
+    )
+
+
+def assert_loops_agree(policy, jobs, *, faults=None, admission=None):
+    """Fast and reference loop: same outcome and same fleet tracker."""
+    outcomes = []
+    for compressed in (False, True):
+        sim = FleetSimulator(
+            MACHINES,
+            policy=policy,
+            estimator=fake_estimator(MACHINES),
+            compressed=compressed,
+            admission=admission,
+        )
+        result = sim.run(jobs, prewarm=False, faults=faults)
+        outcomes.append((deterministic_dict(result), sim.tracker.snapshot()))
+    assert outcomes[1] == outcomes[0]
+
+
+class TestCalendarByteIdentity:
+    """The boundary calendar finds every due machine: the fast loop stays
+    byte-identical to the reference loop through placements onto running
+    segments, faults, admission shedding and mid-trace joins."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("scenario", ("clean", "faults", "admission"))
+    def test_fifty_job_trace(self, policy, scenario):
+        jobs = calendar_trace(50, seed=0)
+        faults = fault_plan(jobs) if scenario == "faults" else None
+        admission = (
+            AdmissionController(**ADMISSION) if scenario == "admission" else None
+        )
+        assert_loops_agree(policy, jobs, faults=faults, admission=admission)
+
+    def test_thousand_job_trace(self):
+        jobs = calendar_trace(1000, seed=5, mean_interarrival=0.8)
+        assert_loops_agree("first-fit", jobs)
+
+    def test_faults_and_admission_compose(self):
+        jobs = calendar_trace(50, seed=2)
+        assert_loops_agree(
+            "load-balanced",
+            jobs,
+            faults=fault_plan(jobs, seed=7),
+            admission=AdmissionController(**ADMISSION),
+        )
+
+
+class TestPrewarmDedupe:
+    """prewarm() dedupes against the shared on-disk estimate cache: a
+    warm estimator (fresh memo, same cache root) fills from disk and
+    skips the sweep fan-out entirely."""
+
+    def test_second_prewarm_computes_nothing(self, tmp_path):
+        jobs = calendar_trace(12, seed=0)
+        machines = MACHINES[:2]
+        cache = SweepCache(tmp_path / "cache")
+
+        cold = StepTimeEstimator(executor=SweepExecutor(backend="serial", cache=cache))
+        computed = cold.prewarm(machines, jobs, max_corun=2)
+        assert computed > 0
+        assert cold.stats.computed == computed
+        assert cold.stats.cache_hits == 0
+
+        warm = StepTimeEstimator(executor=SweepExecutor(backend="serial", cache=cache))
+        assert warm.prewarm(machines, jobs, max_corun=2) == 0
+        assert warm.stats.computed == 0
+        assert warm.stats.cache_hits == computed
+        # The disk hits landed in the memo: step_time replays without
+        # touching the executor at all.
+        warm.executor = None
+        job = jobs[0]
+        assert warm.solo_time(machines[0], job) == cold.solo_time(machines[0], job)

@@ -6,7 +6,7 @@ simulator passes the same ``FleetState`` again.  Every answer must be
 the one ``ReferenceInterferenceAwarePolicy`` (tests/reference_placement.py)
 gets by scoring machine by machine: on generated fleet states, on the
 float-rounding tie the grouping has to resolve, and end to end through
-the reference, compressed and sharded event loops.
+the reference and compressed event loops.
 """
 
 from __future__ import annotations
@@ -229,7 +229,6 @@ def deterministic_dict(result):
 ENGINES = {
     "reference": dict(compressed=False),
     "compressed": dict(compressed=True),
-    "sharded": dict(compressed=True, shards=3),
 }
 
 

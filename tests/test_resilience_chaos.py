@@ -2,12 +2,11 @@
 rot must be *repaired* by the executor's fault tolerance — exact results,
 deterministic order, nonzero recovery counters — never just survived."""
 
-import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.api import DEFAULT_FLEET
-from repro.fleet import FleetSimulator, PoissonArrivals, StepTimeEstimator
 from repro.resilience import (
     ChaosPlan,
     ChaosWorkerCrash,
@@ -29,6 +28,30 @@ def probe(i):
 
 def expected():
     return [probe(i) for i in range(TASKS)]
+
+
+class InlinePool:
+    """Stand-in worker pool that runs each task as it is submitted.
+
+    Its ``break_at``-th submit raises ``BrokenProcessPool`` instead, as a
+    process pool does once a worker of the batch being submitted has
+    already died.
+    """
+
+    def __init__(self, break_at=None):
+        self.break_at = break_at
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits == self.break_at:
+            raise BrokenProcessPool("a worker died before the batch was submitted")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 class TestChaosPlan:
@@ -135,6 +158,28 @@ class TestSweepChaos:
         assert executor.stats.pool_restarts >= 2
         assert executor.stats.degraded > 0
 
+    def test_pool_death_during_submission_resubmits_the_rest(self, monkeypatch):
+        executor = SweepExecutor(
+            backend="process",
+            jobs=2,
+            retry=RetryPolicy(max_attempts=2, backoff=0.001, max_backoff=0.004),
+        )
+        pools = [InlinePool(break_at=2), InlinePool()]
+
+        def get_pool():
+            if executor._pool is None:
+                executor._pool = pools.pop(0)
+            return executor._pool
+
+        monkeypatch.setattr(executor, "_get_pool", get_pool)
+        results = self.run_sweep(executor)
+        # The pool died on the second submit: the first task's result
+        # is kept, and the unsent tasks run on the next pool uncharged.
+        assert results == expected()
+        assert executor.stats.pool_restarts >= 1
+        assert executor.stats.retries == 0
+        assert not pools
+
     def test_crash_during_run_still_reaps_pool(self):
         executor = SweepExecutor(
             backend="thread",
@@ -166,40 +211,3 @@ class TestCacheChaos:
     def test_corrupt_fraction_validation(self, tmp_path):
         with pytest.raises(ValueError):
             corrupt_cache_entries(tmp_path, fraction=1.5)
-
-
-class TestShardedChaos:
-    """The sharded engine's fan-out inherits the executor's fault
-    tolerance — including the estimator memo round-trip: a shard task
-    ships the parent's memo snapshot and returns a delta, and a crashed
-    worker's retry must neither lose nor duplicate estimates."""
-
-    def run_sharded(self, chaos=None, retry=None):
-        estimator = StepTimeEstimator()
-        simulator = FleetSimulator(
-            DEFAULT_FLEET,
-            policy="first-fit",
-            estimator=estimator,
-            compressed=True,
-            shards=2,
-            shard_backend="thread",
-            shard_retry=retry,
-            shard_chaos=chaos,
-        )
-        result = simulator.run(
-            PoissonArrivals(num_jobs=120, seed=5, mean_interarrival=0.05)
-        )
-        digest = json.dumps(result.to_dict(include_overhead=False), sort_keys=True)
-        return digest, dict(estimator._memo), simulator.shard_stats
-
-    def test_memo_round_trip_under_worker_death(self):
-        clean_digest, clean_memo, _ = self.run_sharded()
-        chaotic_digest, chaotic_memo, stats = self.run_sharded(
-            # Crash every shard task's first attempt: deterministic
-            # worker death on the fan-out, repaired by one retry each.
-            chaos=ChaosPlan(seed=7, crash_rate=1.0, fail_attempts=1),
-            retry=RetryPolicy(max_attempts=5, backoff=0.001, max_backoff=0.004),
-        )
-        assert chaotic_digest == clean_digest
-        assert chaotic_memo == clean_memo
-        assert stats is not None and stats.retries > 0

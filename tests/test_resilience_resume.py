@@ -2,10 +2,14 @@
 store digest byte-identical to its uninterrupted twin — across loop
 modes, policies, faults and admission, including chained interrupts."""
 
+import json
+import pickle
+
 import pytest
 
 from repro.api import run_fleet
 from repro.resilience import RunInterrupted, list_checkpoint_runs
+from repro.resilience.checkpoint import CheckpointError, Checkpointer, checkpoint_dir
 from repro.resilience.resume import resume_fleet
 from repro.store import RunStore
 
@@ -40,18 +44,36 @@ WORKLOAD = dict(
     deadline=35.0,
 )
 
+#: Long jobs arriving slowly on three machines: snapshots fall with an
+#: empty queue while machines are mid multi-round segment, so a resume
+#: must rebuild the fast loop's boundary calendar from the restored
+#: machines to flush their remaining rounds in order.
+MID_SEGMENT = dict(
+    num_jobs=40,
+    arrival_seed=1,
+    min_steps=40,
+    max_steps=120,
+    mean_interarrival=30.0,
+    machines=("desktop-8c", "desktop-8c", "arm-server-64c"),
+)
+
 MODES = {
     "reference": dict(compressed=False),
     "compressed": dict(compressed=True),
-    "sharded": dict(compressed=True, shards=2, fleet_backend="thread"),
 }
 
 
-def run_pair(tmp_path, *, policy, mode, interrupt_fraction=0.5):
-    """Baseline run, interrupted twin, resumed — returns both digests."""
+def run_pair(
+    tmp_path, *, policy, mode, interrupt_fraction=0.5, workload=WORKLOAD, inspect=None
+):
+    """Baseline run, interrupted twin, resumed — returns both digests.
+
+    ``inspect`` is called with the newest snapshot's loop state before
+    the resume.
+    """
     store = RunStore(tmp_path / "store")
     root = tmp_path / "ck"
-    kw = dict(WORKLOAD, policy=policy, store=store, **MODES[mode])
+    kw = dict(workload, policy=policy, store=store, **MODES[mode])
     baseline = run_fleet(**kw)
     want = store.load(baseline.run_id).digest
     interrupt_at = max(1, int(baseline.events_processed * interrupt_fraction))
@@ -61,6 +83,8 @@ def run_pair(tmp_path, *, policy, mode, interrupt_fraction=0.5):
             checkpoint={"interval": 50, "root": root, "interrupt_after": interrupt_at},
         )
     assert excinfo.value.run_id == baseline.run_id
+    if inspect is not None:
+        inspect(Checkpointer.open(baseline.run_id, root=root)[1]["state"])
     resumed = resume_fleet(baseline.run_id, root=root, store=store)
     assert resumed.run_id == baseline.run_id
     return want, store.load(resumed.run_id).digest
@@ -73,6 +97,57 @@ def run_pair(tmp_path, *, policy, mode, interrupt_fraction=0.5):
 def test_resume_is_byte_identical(tmp_path, policy, mode):
     want, got = run_pair(tmp_path, policy=policy, mode=mode)
     assert got == want
+
+
+@pytest.mark.parametrize("interrupt_fraction", [0.25, 0.5, 0.75])
+def test_resume_mid_segment_with_empty_queue(tmp_path, interrupt_fraction):
+    def mid_segment(state):
+        assert not state["pending"]
+        assert any(m.round_active and m.seg_rounds_left > 1 for m in state["machines"])
+
+    want, got = run_pair(
+        tmp_path,
+        policy="first-fit",
+        mode="compressed",
+        interrupt_fraction=interrupt_fraction,
+        workload=MID_SEGMENT,
+        inspect=mid_segment,
+    )
+    assert got == want
+
+
+def test_sharded_snapshot_is_refused(tmp_path):
+    """A run checkpointed by the retired sharded engine does not resume:
+    its manifest's ``sharding`` config is ignored and its ``"sharded"``
+    snapshots fail the loop-mode check."""
+    store = RunStore(tmp_path / "store")
+    root = tmp_path / "ck"
+    kw = dict(WORKLOAD, policy="first-fit", store=store)
+    baseline = run_fleet(**kw)
+    with pytest.raises(RunInterrupted):
+        run_fleet(
+            **kw,
+            checkpoint={
+                "interval": 50,
+                "root": root,
+                "interrupt_after": baseline.events_processed // 2,
+            },
+        )
+    # Rewrite the checkpoint the way the sharded engine wrote its own.
+    directory = checkpoint_dir(baseline.run_id, root)
+    manifest = directory / "manifest.json"
+    body = json.loads(manifest.read_text())
+    body["manifest"]["config"]["sharding"] = {"shards": 2, "backend": "thread"}
+    manifest.write_text(json.dumps(body))
+    for path in directory.glob("ck-*.pkl"):
+        payload = pickle.loads(path.read_bytes())
+        payload["state"].update(
+            mode="sharded", momentum=0, shard_members=[[0, 2, 4], [1, 3]],
+            shard_heaps=[[], []],
+        )
+        path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(CheckpointError, match="'sharded' loop"):
+        resume_fleet(baseline.run_id, root=root, store=store)
 
 
 def test_double_interrupt_chained_resume(tmp_path):
