@@ -5,8 +5,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 help:
 	@echo "make test        - run the tier-1 test suite"
-	@echo "make bench       - quick perf tier: simulator fast-path benchmark,"
-	@echo "                   updates BENCH_simulator.json"
+	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
+	@echo "                   (equivalence + speedup gates), updates"
+	@echo "                   BENCH_simulator.json"
 	@echo "make experiments - quick perf tier: experiment-layer sweep engine,"
 	@echo "                   updates BENCH_experiments.json"
 	@echo "make fleet       - fleet-scheduling benchmark (policy makespans +"
@@ -20,7 +21,7 @@ help:
 	@echo "make fleet-xxl   - thousand-machine benchmark (100k jobs / 1,000 machines:"
 	@echo "                   determinism + wall-time trend gates)"
 	@echo "make chaos       - resilience suite: checkpoint-overhead, kill-and-"
-	@echo "                   resume and chaos-injection gates, updates the"
+	@echo "                   resume and cache-rot gates, updates the"
 	@echo "                   resilience section of BENCH_fleet.json"
 	@echo "make report      - fleet smoke benchmark recorded into .run_store, then"
 	@echo "                   regenerate the BENCH_fleet.json section from the store"

@@ -43,13 +43,20 @@ def _simulator_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     for name, scenario in report["scenarios"].items():
         if scenario["step_time_relative_error"] > EQUIVALENCE_TOLERANCE:
             failures.append(f"{name}: step_time diverged from the reference path")
-    # The speedup gate was calibrated on the canonical KNL workload; on
+    # The speedup gates were calibrated on the canonical KNL workload; on
     # other zoo machines the equivalence check is what matters.
-    if report["headline_speedup"] < SPEEDUP_GATE and args.machine == BENCH_MACHINE:
-        failures.append(
-            f"headline speedup {report['headline_speedup']}x below the "
-            f"{SPEEDUP_GATE}x gate"
-        )
+    if args.machine == BENCH_MACHINE:
+        if report["headline_speedup"] < SPEEDUP_GATE:
+            failures.append(
+                f"headline speedup {report['headline_speedup']}x below the "
+                f"{SPEEDUP_GATE}x gate"
+            )
+        serial = report["scenarios"]["serial-recommendation"]["speedup"]
+        if serial < 1.0:
+            failures.append(
+                f"serial-recommendation speedup {serial}x: the fast path is "
+                "slower than the reference"
+            )
     canonical = (
         args.ops == BENCH_NUM_OPS
         and args.seed == BENCH_SEED

@@ -203,8 +203,8 @@ BENCH_FAULT_PLAN: dict = {
 }
 
 #: The ``resilience`` suite (``make chaos``): checkpoint overhead on an
-#: xl-scale open-loop stream, a kill-and-resume smoke, and seeded chaos
-#: legs over the sweep executor.  The overhead gate is self-relative
+#: xl-scale open-loop stream, a kill-and-resume smoke, and a seeded
+#: cache-rot leg over the sweep cache.  The overhead gate is self-relative
 #: (checkpointed vs plain warm time on the same host), so no
 #: cross-machine floor is needed.
 RESILIENCE_NUM_JOBS = 4 * XL_NUM_JOBS
@@ -227,9 +227,8 @@ RESILIENCE_OVERHEAD_GATE = 1.15
 #: is the median of the within-pair ratios, and an odd rep count keeps
 #: the median a single real measurement, robust to one noisy outlier.
 RESILIENCE_OVERHEAD_REPS = 5
-#: The chaos legs' seeded plan knobs (see repro.resilience.chaos).
+#: The cache-rot leg's seed (see repro.resilience.chaos).
 CHAOS_SEED = 7
-CHAOS_SWEEP_TASKS = 48
 
 #: Trend gate: warm reruns must not get more than 2x slower than the
 #: committed baseline.  The committed numbers come from whatever
@@ -969,7 +968,7 @@ def check_trend(report: dict, baseline_path: Path = BENCH_JSON) -> list[str]:
 
 
 def _chaos_probe(value: int) -> int:
-    """Module-level (picklable) sweep payload for the chaos legs."""
+    """Module-level (cacheable) sweep payload for the cache-rot leg."""
     return value * value
 
 
@@ -1040,11 +1039,9 @@ def run_resilience_benchmark(
     num_jobs: int = RESILIENCE_NUM_JOBS,
     machines: tuple[str, ...] = XL_MACHINES,
 ) -> dict:
-    """The resilience suite: checkpoint overhead, kill-resume, chaos."""
+    """The resilience suite: checkpoint overhead, kill-resume, cache rot."""
     from repro.fleet import PoissonArrivals
     from repro.resilience import (
-        ChaosPlan,
-        RetryPolicy,
         RunInterrupted,
         corrupt_cache_entries,
         resume_fleet,
@@ -1136,54 +1133,6 @@ def run_resilience_benchmark(
             "identical": interrupted and got == want and resumed.run_id == baseline.run_id,
         }
 
-    # -- chaos: sweep retries repair injected crashes --------------------
-    expected = [_chaos_probe(i) for i in range(CHAOS_SWEEP_TASKS)]
-    retry_exec = SweepExecutor(
-        backend="thread",
-        jobs=4,
-        retry=RetryPolicy(max_attempts=5, backoff=0.001, max_backoff=0.004),
-        chaos=ChaosPlan(seed=CHAOS_SEED, crash_rate=0.35, fail_attempts=2),
-    )
-    try:
-        retry_results = retry_exec.run(
-            [SweepTask(_chaos_probe, (i,)) for i in range(CHAOS_SWEEP_TASKS)]
-        )
-    finally:
-        retry_exec.close(force=True)
-    sweep_retry_report = {
-        "tasks": CHAOS_SWEEP_TASKS,
-        "correct": retry_results == expected,
-        "retries": retry_exec.stats.retries,
-        "pool_restarts": retry_exec.stats.pool_restarts,
-    }
-
-    # -- chaos: persistent failures quarantine, the rest stay exact ------
-    quarantine_exec = SweepExecutor(
-        backend="thread",
-        jobs=4,
-        retry=RetryPolicy(
-            max_attempts=2, backoff=0.001, quarantine=True, degrade=False
-        ),
-        chaos=ChaosPlan(seed=CHAOS_SEED, crash_rate=0.3, fail_attempts=10**6),
-    )
-    try:
-        quarantine_results = quarantine_exec.run(
-            [SweepTask(_chaos_probe, (i,)) for i in range(CHAOS_SWEEP_TASKS)]
-        )
-    finally:
-        quarantine_exec.close(force=True)
-    from repro.sweep.retry import SweepTaskFailure
-
-    survivors_correct = all(
-        isinstance(got, SweepTaskFailure) or got == expected[i]
-        for i, got in enumerate(quarantine_results)
-    )
-    sweep_quarantine_report = {
-        "tasks": CHAOS_SWEEP_TASKS,
-        "quarantined": quarantine_exec.stats.quarantined,
-        "survivors_correct": survivors_correct,
-    }
-
     # -- chaos: corrupted cache entries are re-misses, not poison --------
     with tempfile.TemporaryDirectory(prefix="repro-cache-chaos-") as cache_root:
         cache_exec = SweepExecutor(
@@ -1206,11 +1155,7 @@ def run_resilience_benchmark(
         },
         "checkpoint_overhead": overhead_report,
         "kill_resume": kill_resume_report,
-        "chaos": {
-            "sweep_retry": sweep_retry_report,
-            "sweep_quarantine": sweep_quarantine_report,
-            "cache_corruption": cache_report,
-        },
+        "chaos": {"cache_corruption": cache_report},
     }
 
 
@@ -1228,11 +1173,7 @@ def format_resilience_report(report: dict) -> str:
             f"{overhead['snapshots']} snapshots), identical {overhead['identical']}",
             f"  kill-resume: interrupted at {resume['interrupt_events']} events, "
             f"byte-identical resume {resume['identical']}",
-            f"  chaos sweep: retry correct {chaos['sweep_retry']['correct']} "
-            f"({chaos['sweep_retry']['retries']} retries), quarantine "
-            f"{chaos['sweep_quarantine']['quarantined']} tasks "
-            f"(survivors correct {chaos['sweep_quarantine']['survivors_correct']}), "
-            f"cache rot recovered {chaos['cache_corruption']['recovered']} "
+            f"  cache rot  : recovered {chaos['cache_corruption']['recovered']} "
             f"({chaos['cache_corruption']['corrupted']} entries)",
         ]
     )
@@ -1253,16 +1194,7 @@ def check_resilience_gates(report: dict) -> list[str]:
         failures.append(
             "resilience: kill-and-resume digest diverged from the uninterrupted run"
         )
-    chaos = report["chaos"]
-    if not chaos["sweep_retry"]["correct"]:
-        failures.append("resilience: chaos sweep results diverged after retries")
-    if chaos["sweep_retry"]["retries"] == 0:
-        failures.append("resilience: chaos plan injected no retries (inert plan?)")
-    if chaos["sweep_quarantine"]["quarantined"] == 0:
-        failures.append("resilience: persistent chaos quarantined nothing")
-    if not chaos["sweep_quarantine"]["survivors_correct"]:
-        failures.append("resilience: quarantine corrupted surviving results")
-    if not chaos["cache_corruption"]["recovered"]:
+    if not report["chaos"]["cache_corruption"]["recovered"]:
         failures.append("resilience: corrupted cache entries poisoned the sweep")
     return failures
 
@@ -1431,7 +1363,7 @@ def main(argv: list[str] | None = None) -> int:
         "xxl: 100k-job / 1,000-machine determinism and trend gates; "
         "faults: canonical-fault-plan equivalence gates; stream: "
         "open-loop overload/admission gates incl. the 1M-job smoke; "
-        "resilience: checkpoint-overhead, kill-resume and seeded-chaos "
+        "resilience: checkpoint-overhead, kill-resume and cache-rot "
         "gates (make chaos)",
     )
     parser.add_argument("--jobs", type=int, default=None, help="sweep-engine worker count")

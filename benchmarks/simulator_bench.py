@@ -68,8 +68,9 @@ class PartitionedPolicy:
 
 
 #: name -> (policy factory, counts toward the speedup gate).  The serial
-#: scenario has almost no contention work to skip, so it is reported but
-#: not gated; the contention-heavy scenarios are what the incremental
+#: scenario has almost no contention work to skip, so it stays out of the
+#: headline gate (``python -m benchmarks`` only requires it not to be
+#: slower); the contention-heavy scenarios are what the incremental
 #: rewrite targets.
 SCENARIOS: dict[str, tuple[Callable, bool]] = {
     "serial-recommendation": (lambda machine: recommended_policy(machine), False),

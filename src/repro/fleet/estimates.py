@@ -123,7 +123,6 @@ class StepTimeEstimator:
 
     executor: SweepExecutor | None = None
     config: RuntimeConfig = field(default_factory=RuntimeConfig)
-    cache: SweepCache | None = None
     _memo: dict[tuple, float] = field(default_factory=dict)
     stats: EstimatorStats = field(default_factory=EstimatorStats)
 
@@ -131,15 +130,13 @@ class StepTimeEstimator:
         return self.executor if self.executor is not None else get_default_executor()
 
     def _cache(self) -> SweepCache:
-        """The shared on-disk estimate cache (the executor's by default).
+        """The shared on-disk estimate cache: the executor's.
 
         Estimates live under their own ``"estimate"`` content-key
         namespace so any process holding the same cache root shares
         them with the same atomic sharded-pickle discipline as
         :class:`SweepCache` task results.
         """
-        if self.cache is not None:
-            return self.cache
         return self._executor().cache
 
     def _cache_key(self, machine_name: str, entries: tuple[MixEntry, ...]) -> str:

@@ -746,7 +746,7 @@ class FleetSimulator:
         self,
         jobs: "Sequence[Job] | ArrivalProcess",
         *,
-        prewarm: bool | str = True,
+        prewarm: bool = True,
         faults: "FaultPlan | FaultInjector | dict | str | None" = None,
         admission: "AdmissionController | dict | None" = None,
         checkpoint: "object | None" = None,
@@ -762,14 +762,13 @@ class FleetSimulator:
         docstring), and streaming a process is byte-identical to
         replaying ``process.materialize()``.
 
-        ``prewarm`` batches estimates through the sweep engine before the
-        event loop starts: ``True`` / ``"solo"`` fans out every distinct
-        solo signature (the bulk of policy traffic), ``"mixes"``
-        additionally fans out every distinct co-run ``canonical_mix``
-        signature up to ``max_corun`` members, ``False`` skips it.  For a
-        process, one representative job per workload kind
-        (``prewarm_jobs()``) stands in for the trace.  An empty trace
-        returns a well-formed empty :class:`FleetResult`.
+        ``prewarm`` batches every distinct solo estimate (the bulk of
+        policy traffic) through the sweep engine before the event loop
+        starts; ``False`` skips it.  For a process, one representative
+        job per workload kind (``prewarm_jobs()``) stands in for the
+        trace.  Co-run mixes are prewarmed by calling
+        :meth:`StepTimeEstimator.prewarm` with ``max_corun`` first.  An
+        empty trace returns a well-formed empty :class:`FleetResult`.
 
         ``faults`` injects a :class:`~repro.fleet.faults.FaultPlan` into
         this run and ``admission`` applies an
@@ -869,12 +868,7 @@ class FleetSimulator:
         if prewarm and expected and prewarm_jobs:
             # Solo estimates dominate policy traffic; batch them through
             # the sweep engine up front (parallel under a process backend).
-            # prewarm="mixes" also covers every possible co-run signature.
-            self.estimator.prewarm(
-                self.machine_names,
-                prewarm_jobs,
-                max_corun=self.max_corun if prewarm == "mixes" else 1,
-            )
+            self.estimator.prewarm(self.machine_names, prewarm_jobs)
 
         machines = [
             MachineState(

@@ -1,16 +1,11 @@
-"""Resilient execution layer: checkpoint/resume, retries, chaos.
-
-Three pieces, one failure story:
+"""Resilient execution layer: checkpoint/resume and cache-rot injection.
 
 * :mod:`repro.resilience.checkpoint` — periodic atomic snapshots of a
   fleet run's full loop state; a killed run resumes byte-identical via
   :func:`resume_fleet` / ``python -m repro resume <run_id>``.
-* :class:`~repro.sweep.retry.RetryPolicy` (re-exported here) — per-task
-  timeouts, bounded backoff-with-jitter retries, crash/hang detection
-  and quarantine for sweep workers.
-* :mod:`repro.resilience.chaos` — seeded, deterministic injection of
-  worker crashes, hangs, cache rot and mid-run interrupts, so the
-  recovery paths above are *gated*, not just present.
+* :mod:`repro.resilience.chaos` — seeded, deterministic rot of on-disk
+  cache entries, so the self-healing read paths are *gated*, not just
+  present.  A mid-run interrupt is ``CheckpointConfig.interrupt_after``.
 
 ``resume_fleet`` is resolved lazily: it imports :mod:`repro.api`, which
 (indirectly) imports this package, and a module-level import here would
@@ -19,13 +14,7 @@ cycle.
 
 from __future__ import annotations
 
-from repro.resilience.chaos import (
-    CHAOS_EXIT_CODE,
-    ChaosPlan,
-    ChaosWorkerCrash,
-    chaos_call,
-    corrupt_cache_entries,
-)
+from repro.resilience.chaos import corrupt_cache_entries
 from repro.resilience.checkpoint import (
     CHECKPOINT_DIR_ENV,
     CHECKPOINT_SCHEMA_VERSION,
@@ -40,27 +29,15 @@ from repro.resilience.checkpoint import (
     resolve_checkpoint,
     resolve_checkpoint_run,
 )
-from repro.sweep.retry import (
-    SINGLE_ATTEMPT,
-    RetryPolicy,
-    SweepTaskFailure,
-)
 
 __all__ = [
-    "CHAOS_EXIT_CODE",
     "CHECKPOINT_DIR_ENV",
     "CHECKPOINT_SCHEMA_VERSION",
-    "ChaosPlan",
-    "ChaosWorkerCrash",
     "CheckpointConfig",
     "CheckpointError",
     "Checkpointer",
     "GracefulInterrupt",
-    "RetryPolicy",
     "RunInterrupted",
-    "SINGLE_ATTEMPT",
-    "SweepTaskFailure",
-    "chaos_call",
     "checkpoint_dir",
     "checkpoint_root",
     "corrupt_cache_entries",

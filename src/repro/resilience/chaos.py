@@ -1,127 +1,24 @@
-"""Deterministic chaos injection for the execution layer.
+"""Deterministic cache-rot injection for the execution layer.
 
-The executor-level mirror of :mod:`repro.fleet.faults`: where a
-``FaultPlan`` breaks the *simulated* fleet, a :class:`ChaosPlan` breaks
-the *harness that runs it* — sweep workers crash (``os._exit`` inside a
-process child, an exception on thread/serial backends), hang (a bounded
-sleep that trips the retry policy's timeout), cache entries rot on
-disk, and a run takes a simulated mid-run SIGTERM
-(``CheckpointConfig.interrupt_after``).
-
-Like a fault plan, a chaos plan is a **seeded value**: directives are a
-pure function of ``(seed, task number, attempt)`` via a hash fraction,
-so the same plan against the same sweep produces the same crashes in
-the same places — which is what lets the chaos gates assert *exact*
-result equality (retries must repair every injection) plus nonzero
-retry/quarantine counters, instead of merely "it didn't die".
-
-Directives are computed in the **parent** (the executor consults
-:meth:`ChaosPlan.directive` at submit time) and shipped to the worker
-alongside the task; the worker-side :func:`chaos_call` wrapper executes
-them.  Crashes fire only while ``attempt <= fail_attempts``, so a
-bounded retry budget always converges to the clean result.
+:func:`corrupt_cache_entries` rots a seeded selection of on-disk pickle
+entries, so the self-healing read paths of the sweep cache and the run
+store are gated, not just present.  The selection is a pure function of
+``(seed, file name)``: the same call against the same directory rots
+the same files.  (A mid-run SIGTERM is simulated separately, by
+``CheckpointConfig.interrupt_after``.)
 """
 
 from __future__ import annotations
 
-import os
-import time
-from dataclasses import dataclass
+import hashlib
 from pathlib import Path
 
-from repro.sweep.retry import _fraction
 
-#: Child exit code of an injected process-worker crash (visible in the
-#: BrokenProcessPool message, handy when debugging chaos runs).
-CHAOS_EXIT_CODE = 43
-
-
-class ChaosWorkerCrash(RuntimeError):
-    """An injected worker crash on a backend without a process to kill."""
-
-
-@dataclass(frozen=True)
-class ChaosPlan:
-    """A seeded, declarative plan of execution-layer failures.
-
-    ``crash_rate`` / ``hang_rate`` are per-(task, attempt) probabilities
-    while ``attempt <= fail_attempts``; beyond that budget every task
-    runs clean, so ``RetryPolicy(max_attempts > fail_attempts)`` is
-    guaranteed to converge.  ``hang_seconds`` should exceed the retry
-    policy's ``timeout`` to exercise hang detection (the sleep itself
-    stays bounded, so a chaos suite can never wedge the test run).
-    ``interrupt_after`` is the mid-run-SIGTERM knob, forwarded into the
-    run's :class:`~repro.resilience.checkpoint.CheckpointConfig`.
-    """
-
-    seed: int = 0
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    hang_seconds: float = 0.25
-    fail_attempts: int = 1
-    interrupt_after: int | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("crash_rate", "hang_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
-        if self.hang_seconds < 0:
-            raise ValueError("hang_seconds must be >= 0")
-        if self.fail_attempts < 0:
-            raise ValueError("fail_attempts must be >= 0")
-
-    def __bool__(self) -> bool:
-        return (
-            self.crash_rate > 0
-            or self.hang_rate > 0
-            or self.interrupt_after is not None
-        )
-
-    def directive(self, task_no: int, attempt: int) -> "tuple | None":
-        """The injected failure for one task execution, or ``None``.
-
-        ``task_no`` is the executor's monotonically increasing per-task
-        number (deterministic: tasks are submitted in a deterministic
-        order), ``attempt`` is 1-based.
-        """
-        if attempt > self.fail_attempts:
-            return None
-        if self.crash_rate > 0 and (
-            _fraction(self.seed, "crash", task_no, attempt) < self.crash_rate
-        ):
-            return ("crash",)
-        if self.hang_rate > 0 and (
-            _fraction(self.seed, "hang", task_no, attempt) < self.hang_rate
-        ):
-            return ("hang", self.hang_seconds)
-        return None
-
-
-def chaos_call(fn, args, directive, process_worker: bool):
-    """Worker-side execution of one chaos directive, then the real task.
-
-    Module-level (picklable by reference) so the process backend can
-    ship it.  A ``crash`` kills the child outright with ``os._exit`` —
-    the parent sees a ``BrokenProcessPool``, the real crash signature —
-    or raises :class:`ChaosWorkerCrash` on thread/serial backends where
-    killing the interpreter would take the suite down with it.  A
-    ``hang`` sleeps a bounded interval (long enough to trip the retry
-    timeout) and then *completes the task*, modelling a stalled-but-
-    alive worker.
-    """
-    kind = directive[0]
-    if kind == "crash":
-        if process_worker:
-            os._exit(CHAOS_EXIT_CODE)
-        raise ChaosWorkerCrash(
-            f"chaos: injected crash in {getattr(fn, '__name__', fn)!r}"
-        )
-    if kind == "hang":
-        time.sleep(directive[1])
-    elif kind is not None:
-        raise ValueError(f"unknown chaos directive {directive!r}")
-    return fn(*args)
+def _fraction(*parts: object) -> float:
+    """A deterministic uniform-ish fraction in [0, 1) from hashed parts."""
+    text = "\x1f".join(repr(part) for part in parts)
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 def corrupt_cache_entries(

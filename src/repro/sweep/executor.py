@@ -21,20 +21,24 @@ what makes repeated ``repro-experiments`` invocations (and overlapping
 sweeps *across* experiments) cheap.  Tasks whose function or arguments
 cannot be hashed or pickled degrade gracefully: they run locally in the
 parent process, uncached.
+
+Failures have one path: the first task (in input order) that raises
+propagates out of :meth:`SweepExecutor.run`, which reaps the worker
+pool on the way out.  A pool that breaks while a batch is still being
+submitted is reaped too; the batch survives only when every task
+already sent to it finished cleanly (see ``_run_pooled``).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.sweep.cache import (
@@ -44,7 +48,6 @@ from repro.sweep.cache import (
     content_key,
     is_module_level_function,
 )
-from repro.sweep.retry import SINGLE_ATTEMPT, RetryPolicy, SweepTaskFailure
 
 #: Recognised backend names.
 BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
@@ -86,37 +89,15 @@ class SweepTask:
 
 @dataclass
 class ExecutorStats:
-    """Counters describing how the last/accumulated runs were serviced.
-
-    The resilience counters (``retries`` onward) stay zero on a healthy
-    run: they only move when the retry policy repairs worker failures —
-    ``retries`` counts resubmissions, ``timeouts`` hung tasks detected by
-    the heartbeat wait, ``quarantined`` poison tasks recorded as
-    :class:`~repro.sweep.retry.SweepTaskFailure` results, ``degraded``
-    executions salvaged by falling back to the parent (or a slower
-    backend), and ``pool_restarts`` worker pools force-reaped after a
-    crash or hang.
-    """
+    """Counters describing how the last/accumulated runs were serviced."""
 
     submitted: int = 0
     cache_hits: int = 0
     executed: int = 0
     executed_local: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-    degraded: int = 0
-    pool_restarts: int = 0
 
     def reset(self) -> None:
         self.submitted = self.cache_hits = self.executed = self.executed_local = 0
-        self.retries = self.timeouts = self.quarantined = 0
-        self.degraded = self.pool_restarts = 0
-
-
-#: The resilience-facing name of the executor counters (the ISSUE-10
-#: surface: retry/timeout/quarantine counters live on ``SweepStats``).
-SweepStats = ExecutorStats
 
 
 def _args_picklable(args: tuple) -> bool:
@@ -133,11 +114,6 @@ def _call(fn: Callable, args: tuple) -> Any:
     return fn(*args)
 
 
-def _sleep(seconds: float) -> None:
-    if seconds > 0:
-        time.sleep(seconds)
-
-
 class SweepExecutor:
     """Run batches of sweep tasks with caching and deterministic ordering."""
 
@@ -147,33 +123,16 @@ class SweepExecutor:
         *,
         jobs: int | None = None,
         cache: SweepCache | None = None,
-        retry: RetryPolicy | None = None,
-        chaos: "object | None" = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise TypeError(f"retry must be a RetryPolicy, got {type(retry).__name__}")
         self.backend = backend
         self.jobs = jobs or available_cpus()
         self.cache = cache if cache is not None else SweepCache(enabled=False)
-        #: Fault-tolerance policy; ``None`` keeps the seed semantics
-        #: (one attempt, no timeout, first failure propagates).
-        self.retry = retry
-        #: Optional :class:`~repro.resilience.chaos.ChaosPlan` injecting
-        #: seeded worker crashes/hangs (test/bench harness only).
-        self.chaos = chaos
-        #: Original backend when repeated pool failures degraded it
-        #: (process -> thread -> serial); ``None`` while undegraded.
-        self.degraded_from: str | None = None
         self.stats = ExecutorStats()
         self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
-        #: Monotonic per-task number (chaos directives key on it).
-        self._task_seq = 0
-        #: Consecutive force-closed pools; two in a row degrade the backend.
-        self._pool_failures = 0
 
     # -- public API ----------------------------------------------------------------
 
@@ -210,17 +169,11 @@ class SweepExecutor:
             misses.append(index)
 
         if misses:
-            base = self._task_seq
-            self._task_seq += len(tasks)
             try:
-                self._execute(tasks, misses, results, base)
+                self._execute(tasks, misses, results)
                 for index in misses:
                     key = keys[index]
-                    # Quarantined failures are per-run verdicts, never
-                    # cacheable results.
-                    if key is not None and not isinstance(
-                        results[index], SweepTaskFailure
-                    ):
+                    if key is not None:
                         self.cache.store(key, results[index])
             except BaseException:
                 # Any exit path through run() must reap the pool: a task
@@ -247,11 +200,9 @@ class SweepExecutor:
         tasks: Sequence[SweepTask],
         misses: list[int],
         results: list,
-        base: int = 0,
     ) -> None:
-        policy = self.retry or SINGLE_ATTEMPT
         if self.backend == "serial" or self.jobs == 1 or len(misses) == 1:
-            self._run_local(tasks, misses, results, base, policy)
+            self._run_local(tasks, misses, results)
             return
 
         if self.backend == "thread":
@@ -268,254 +219,51 @@ class SweepExecutor:
                     local.append(i)
 
         if pooled:
-            self._run_pooled(tasks, pooled, results, base, policy)
+            self._run_pooled(tasks, pooled, results)
         if local:
-            self._run_local(tasks, local, results, base, policy)
-
-    # -- fault-tolerant execution paths --------------------------------------------
-
-    def _directive(self, task_no: int, attempt: int):
-        chaos = self.chaos
-        if chaos is None:
-            return None
-        return chaos.directive(task_no, attempt)
-
-    def _submit(self, pool, task: SweepTask, task_no: int, attempt: int) -> Future:
-        directive = self._directive(task_no, attempt)
-        if directive is None:
-            return pool.submit(_call, task.fn, task.args)
-        from repro.resilience.chaos import chaos_call
-
-        return pool.submit(
-            chaos_call, task.fn, task.args, directive, self.backend == "process"
-        )
-
-    def _invoke_local(self, task: SweepTask, task_no: int, attempt: int) -> Any:
-        directive = self._directive(task_no, attempt)
-        if directive is None:
-            return _call(task.fn, task.args)
-        from repro.resilience.chaos import chaos_call
-
-        return chaos_call(task.fn, task.args, directive, False)
-
-    def _await(self, future: Future, policy: RetryPolicy) -> Any:
-        """Wait for one future, probing liveness every ``heartbeat``.
-
-        With no ``timeout`` this is a plain blocking wait (the seed
-        behaviour).  Otherwise the wait is sliced into heartbeat probes
-        so a hung worker is detected within ``timeout`` wall-clock
-        seconds and surfaces as a :class:`FuturesTimeout`.
-        """
-        if policy.timeout is None:
-            return future.result()
-        deadline = time.monotonic() + policy.timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise FuturesTimeout(
-                    f"sweep task exceeded its {policy.timeout:g}s timeout"
-                )
-            try:
-                return future.result(timeout=min(policy.heartbeat, remaining))
-            except FuturesTimeout:
-                continue
+            self._run_local(tasks, local, results)
 
     def _run_local(
-        self,
-        tasks: Sequence[SweepTask],
-        indices: Sequence[int],
-        results: list,
-        base: int,
-        policy: RetryPolicy,
+        self, tasks: Sequence[SweepTask], indices: Sequence[int], results: list
     ) -> None:
-        """Serial in-parent execution with the same retry semantics."""
         for index in indices:
             task = tasks[index]
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    value = self._invoke_local(task, base + index, attempt)
-                except BaseException as exc:
-                    if attempt < policy.max_attempts:
-                        self.stats.retries += 1
-                        _sleep(policy.delay(attempt))
-                        continue
-                    self._exhausted(
-                        task, index, results, attempt, exc, "exception", policy,
-                        local=True,
-                    )
-                    break
-                else:
-                    results[index] = value
-                    self.stats.executed += 1
-                    self.stats.executed_local += 1
-                    break
+            results[index] = _call(task.fn, task.args)
+            self.stats.executed += 1
+            self.stats.executed_local += 1
 
     def _run_pooled(
-        self,
-        tasks: Sequence[SweepTask],
-        pooled: list[int],
-        results: list,
-        base: int,
-        policy: RetryPolicy,
+        self, tasks: Sequence[SweepTask], pooled: list[int], results: list
     ) -> None:
-        """Pool execution with bounded retry, hang detection and pool
-        recycling.
+        """Submit every task, then collect results in submission order.
 
-        One *round* submits every outstanding task, then drains results
-        in submission order (input-ordered results for free).  A worker
-        crash (``BrokenExecutor``) or hang (heartbeat timeout) force-
-        closes the pool — reaping its children — charges one attempt to
-        every task the failure exposed, and resubmits the survivors next
-        round after a seeded backoff delay.  Two consecutive pool
-        failures degrade the backend (process -> thread -> serial).
+        A pool whose ``submit`` raises ``BrokenExecutor`` lost a worker
+        of the batch being submitted.  It is reaped at once.  When every
+        task already sent to it finished cleanly, those keep their
+        results and the unsent tasks go to a fresh pool; otherwise their
+        results are lost with the pool and the run fails.
         """
-        attempts = {i: 0 for i in pooled}
-        errors: dict[int, tuple[BaseException, str]] = {}
-        outstanding = list(pooled)
-        round_index = 0
-        while outstanding:
-            if self.backend == "serial":
-                # Degraded all the way down: finish inline.
-                self._run_local(tasks, outstanding, results, base, policy)
-                return
-            if round_index:
-                _sleep(policy.delay(round_index))
-            round_index += 1
+        while pooled:
             pool = self._get_pool()
-            batch = outstanding
-            outstanding = []
-            failed: list[int] = []
             submitted: list[tuple[int, Future]] = []
-            pool_dead = False
-            for position, i in enumerate(batch):
+            unsent: list[int] = []
+            for position, i in enumerate(pooled):
                 try:
-                    future = self._submit(pool, tasks[i], base + i, attempts[i] + 1)
+                    future = pool.submit(_call, tasks[i].fn, tasks[i].args)
                 except BrokenExecutor:
-                    # A worker of this very batch died before the batch
-                    # was fully submitted.  The unsent tasks never ran:
-                    # resubmit them next round without charging them.
-                    self._fail_pool()
-                    pool_dead = True
-                    outstanding.extend(batch[position:])
+                    self.close(force=True)
+                    unsent = pooled[position:]
                     break
-                attempts[i] += 1
                 submitted.append((i, future))
+            if unsent and not all(
+                future.done() and not future.cancelled() and future.exception() is None
+                for _, future in submitted
+            ):
+                raise RuntimeError("worker pool died mid-batch")
             for i, future in submitted:
-                if pool_dead:
-                    # The pool died earlier this round.  Futures that
-                    # completed before the break still carry results;
-                    # everything else is charged and resubmitted.
-                    if future.done() and not future.cancelled() and future.exception() is None:
-                        results[i] = future.result()
-                        self.stats.executed += 1
-                        continue
-                    errors.setdefault(
-                        i, (RuntimeError("worker pool died mid-batch"), "crash")
-                    )
-                    failed.append(i)
-                    continue
-                try:
-                    value = self._await(future, policy)
-                except FuturesTimeout:
-                    errors[i] = (
-                        TimeoutError(
-                            f"sweep task hung past its {policy.timeout:g}s timeout"
-                        ),
-                        "timeout",
-                    )
-                    self.stats.timeouts += 1
-                    failed.append(i)
-                    # A hung worker poisons the whole pool: reap it (the
-                    # stuck child included) and resubmit the survivors.
-                    self._fail_pool()
-                    pool_dead = True
-                except BrokenExecutor as exc:
-                    errors[i] = (exc, "crash")
-                    failed.append(i)
-                    self._fail_pool()
-                    pool_dead = True
-                except Exception as exc:
-                    errors[i] = (exc, "exception")
-                    failed.append(i)
-                else:
-                    results[i] = value
-                    self.stats.executed += 1
-            if not failed and not pool_dead:
-                self._pool_failures = 0
-            elif self._pool_failures >= 2 and policy.degrade:
-                self._degrade_backend()
-            for i in failed:
-                if attempts[i] < policy.max_attempts:
-                    self.stats.retries += 1
-                    outstanding.append(i)
-                else:
-                    error, kind = errors.get(
-                        i, (RuntimeError("sweep task failed"), "exception")
-                    )
-                    self._exhausted(
-                        tasks[i], i, results, attempts[i], error, kind, policy
-                    )
-
-    def _fail_pool(self) -> None:
-        self.close(force=True)
-        self.stats.pool_restarts += 1
-        self._pool_failures += 1
-
-    def _degrade_backend(self) -> None:
-        """Repeated pool failures: fall back process -> thread -> serial."""
-        step = {"process": "thread", "thread": "serial"}
-        nxt = step.get(self.backend)
-        if nxt is None:
-            return
-        self.close(force=True)
-        if self.degraded_from is None:
-            self.degraded_from = self.backend
-        self.backend = nxt
-        self.stats.degraded += 1
-        self._pool_failures = 0
-
-    def _exhausted(
-        self,
-        task: SweepTask,
-        index: int,
-        results: list,
-        attempt_count: int,
-        error: BaseException,
-        kind: str,
-        policy: RetryPolicy,
-        *,
-        local: bool = False,
-    ) -> None:
-        """A task burned its whole retry budget: degrade, quarantine, or raise.
-
-        The degrade execution runs the task in the parent *without*
-        chaos directives — it models the operator's trusted serial
-        fallback, which is what guarantees a chaos plan can never turn
-        a pure task into a lost result.
-        """
-        if policy.degrade and not local:
-            try:
-                results[index] = _call(task.fn, task.args)
-            except BaseException as exc:
-                error, kind = exc, "exception"
-            else:
+                results[i] = future.result()
                 self.stats.executed += 1
-                self.stats.executed_local += 1
-                self.stats.degraded += 1
-                return
-        if policy.quarantine:
-            results[index] = SweepTaskFailure(
-                index=index,
-                error=repr(error),
-                attempts=attempt_count,
-                kind=kind,
-            )
-            self.stats.quarantined += 1
-            return
-        self.close(force=True)
-        raise error
+            pooled = unsent
 
     def _get_pool(self):
         """The lazily-created worker pool, reused across run() batches.
@@ -542,9 +290,9 @@ class SweepExecutor:
     def close(self, *, force: bool = False) -> None:
         """Shut the worker pool down (idempotent; the next run() revives it).
 
-        ``force=True`` is the crash/hang path: cancel queued work, don't
+        ``force=True`` is the failure path: cancel queued work, don't
         wait for stragglers, and explicitly terminate + reap any process
-        children so a hung worker cannot outlive the pool object.
+        children so a stuck worker cannot outlive the pool object.
         """
         pool, self._pool = self._pool, None
         if pool is None:

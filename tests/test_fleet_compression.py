@@ -343,11 +343,14 @@ class TestMixPrewarm:
         sim = FleetSimulator(
             machines, policy="first-fit", estimator=estimator, max_corun=2
         )
-        result = sim.run(jobs, prewarm="mixes")
-        # Everything the event loop needed was prewarmed: computed equals
-        # the full mix closure (2 classes -> 2 solos + 3 pairs, per kind).
-        assert result.estimates_requested > result.estimates_computed
-        rerun = sim.run(jobs, prewarm="mixes")
+        # The full mix closure: 2 classes -> 2 solos + 3 pairs, per machine.
+        assert estimator.prewarm(machines, jobs, max_corun=2) == 10
+        # Everything the event loop needed was prewarmed, so neither run
+        # simulates anything.
+        result = sim.run(jobs)
+        assert result.estimates_requested > 0
+        assert result.estimates_computed == 0
+        rerun = sim.run(jobs)
         assert rerun.estimates_computed == 0
 
     def test_prewarm_rejects_bad_max_corun(self):

@@ -1,20 +1,15 @@
-"""Chaos-harness gates: injected crashes, hangs, poison tasks and cache
-rot must be *repaired* by the executor's fault tolerance — exact results,
-deterministic order, nonzero recovery counters — never just survived."""
+"""Failure-path gates for the sweep executor, plus cache rot: a task
+that raises propagates and the worker pool is reaped; a pool that dies
+mid-submission either hands its unsent tasks to a fresh pool (exact,
+input-ordered results) or fails the run; rotted cache entries are
+re-misses, never poison."""
 
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.resilience import (
-    ChaosPlan,
-    ChaosWorkerCrash,
-    RetryPolicy,
-    SweepTaskFailure,
-    chaos_call,
-    corrupt_cache_entries,
-)
+from repro.resilience import corrupt_cache_entries
 from repro.sweep import SweepCache, SweepExecutor
 from repro.sweep.executor import SweepTask
 
@@ -26,6 +21,11 @@ def probe(i):
     return (i, i * i % 97)
 
 
+def fail(i):
+    """A task that always raises (module-level: process-picklable)."""
+    raise ValueError(f"task {i} failed")
+
+
 def expected():
     return [probe(i) for i in range(TASKS)]
 
@@ -35,162 +35,86 @@ class InlinePool:
 
     Its ``break_at``-th submit raises ``BrokenProcessPool`` instead, as a
     process pool does once a worker of the batch being submitted has
-    already died.
+    already died.  With ``finish=False`` the futures it hands out stay
+    pending, like tasks still running on the dying pool, until a
+    ``cancel_futures`` shutdown cancels them.
     """
 
-    def __init__(self, break_at=None):
+    def __init__(self, break_at=None, finish=True):
         self.break_at = break_at
+        self.finish = finish
         self.submits = 0
+        self.pending = []
 
     def submit(self, fn, *args):
         self.submits += 1
         if self.submits == self.break_at:
             raise BrokenProcessPool("a worker died before the batch was submitted")
         future = Future()
-        future.set_result(fn(*args))
+        if not self.finish:
+            self.pending.append(future)
+            return future
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
         return future
 
     def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
+        if cancel_futures:
+            for future in self.pending:
+                future.cancel()
 
 
-class TestChaosPlan:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChaosPlan(crash_rate=1.5)
-        with pytest.raises(ValueError):
-            ChaosPlan(hang_rate=-0.1)
-        with pytest.raises(ValueError):
-            ChaosPlan(hang_seconds=-1)
-        with pytest.raises(ValueError):
-            ChaosPlan(fail_attempts=-1)
+def use_pools(monkeypatch, executor, pools):
+    """Make ``executor`` take each fresh pool from ``pools`` in turn."""
 
-    def test_bool_means_any_injection(self):
-        assert not ChaosPlan()
-        assert ChaosPlan(crash_rate=0.1)
-        assert ChaosPlan(hang_rate=0.1)
-        assert ChaosPlan(interrupt_after=10)
+    def get_pool():
+        if executor._pool is None:
+            executor._pool = pools.pop(0)
+        return executor._pool
 
-    def test_directives_are_deterministic_and_budgeted(self):
-        plan = ChaosPlan(seed=3, crash_rate=0.5, fail_attempts=2)
-        first = [plan.directive(n, 1) for n in range(50)]
-        assert first == [plan.directive(n, 1) for n in range(50)]
-        assert any(d == ("crash",) for d in first)
-        # Beyond the fail budget every execution runs clean.
-        assert all(plan.directive(n, 3) is None for n in range(50))
-
-    def test_chaos_call_crash_without_process(self):
-        with pytest.raises(ChaosWorkerCrash):
-            chaos_call(probe, (1,), ("crash",), False)
+    monkeypatch.setattr(executor, "_get_pool", get_pool)
 
 
 class TestSweepChaos:
-    def run_sweep(self, executor):
-        try:
-            return executor.run([SweepTask(probe, (i,)) for i in range(TASKS)])
-        finally:
-            executor.close(force=True)
-
-    def test_retries_repair_injected_crashes(self):
-        executor = SweepExecutor(
-            backend="thread",
-            jobs=4,
-            retry=RetryPolicy(max_attempts=5, backoff=0.001, max_backoff=0.004),
-            chaos=ChaosPlan(seed=7, crash_rate=0.4, fail_attempts=2),
-        )
-        assert self.run_sweep(executor) == expected()
-        assert executor.stats.retries > 0
-
-    def test_hang_detection_times_out_and_recovers(self):
-        executor = SweepExecutor(
-            backend="thread",
-            jobs=4,
-            retry=RetryPolicy(
-                max_attempts=4,
-                timeout=0.05,
-                heartbeat=0.01,
-                backoff=0.001,
-                max_backoff=0.004,
-            ),
-            chaos=ChaosPlan(seed=7, hang_rate=0.2, hang_seconds=0.3, fail_attempts=1),
-        )
-        assert self.run_sweep(executor) == expected()
-        assert executor.stats.timeouts > 0
-        assert executor.stats.pool_restarts > 0
-
-    def test_poison_tasks_quarantine_survivors_exact(self):
-        executor = SweepExecutor(
-            backend="thread",
-            jobs=4,
-            retry=RetryPolicy(
-                max_attempts=2, backoff=0.001, quarantine=True, degrade=False
-            ),
-            chaos=ChaosPlan(seed=7, crash_rate=0.3, fail_attempts=10**6),
-        )
-        results = self.run_sweep(executor)
-        want = expected()
-        assert len(results) == TASKS
-        failures = [r for r in results if isinstance(r, SweepTaskFailure)]
-        assert failures and executor.stats.quarantined == len(failures)
-        for i, got in enumerate(results):
-            if isinstance(got, SweepTaskFailure):
-                assert got.index == i  # input-ordered slots survive chaos
-                assert not got  # falsy sentinel, never a silent value
-            else:
-                assert got == want[i]
-
-    def test_persistent_pool_failures_degrade_backend(self):
-        executor = SweepExecutor(
-            backend="process",
-            jobs=2,
-            retry=RetryPolicy(max_attempts=4, backoff=0.001, max_backoff=0.004),
-            chaos=ChaosPlan(seed=7, crash_rate=1.0, fail_attempts=10**6),
-        )
-        try:
-            results = executor.run([SweepTask(probe, (i,)) for i in range(4)])
-        finally:
-            executor.close(force=True)
-        # Every pool round died, the backend stepped down, and the local
-        # degrade execution (no chaos there) still produced every value.
-        assert results == [probe(i) for i in range(4)]
-        assert executor.degraded_from == "process"
-        assert executor.backend in ("thread", "serial")
-        assert executor.stats.pool_restarts >= 2
-        assert executor.stats.degraded > 0
-
     def test_pool_death_during_submission_resubmits_the_rest(self, monkeypatch):
-        executor = SweepExecutor(
-            backend="process",
-            jobs=2,
-            retry=RetryPolicy(max_attempts=2, backoff=0.001, max_backoff=0.004),
-        )
+        executor = SweepExecutor(backend="process", jobs=2)
         pools = [InlinePool(break_at=2), InlinePool()]
-
-        def get_pool():
-            if executor._pool is None:
-                executor._pool = pools.pop(0)
-            return executor._pool
-
-        monkeypatch.setattr(executor, "_get_pool", get_pool)
-        results = self.run_sweep(executor)
+        use_pools(monkeypatch, executor, pools)
+        try:
+            results = executor.run([SweepTask(probe, (i,)) for i in range(TASKS)])
+        finally:
+            executor.close(force=True)
         # The pool died on the second submit: the first task's result
-        # is kept, and the unsent tasks run on the next pool uncharged.
+        # is kept, and the unsent tasks run on the next pool.
         assert results == expected()
-        assert executor.stats.pool_restarts >= 1
-        assert executor.stats.retries == 0
+        assert executor.stats.executed == TASKS
         assert not pools
 
-    def test_crash_during_run_still_reaps_pool(self):
-        executor = SweepExecutor(
-            backend="thread",
-            jobs=2,
-            chaos=ChaosPlan(seed=7, crash_rate=1.0, fail_attempts=10**6),
-        )
-        # Seed semantics (no retry policy): first failure propagates —
-        # but the worker pool must be reaped on the way out (the leak
-        # this release fixed), not abandoned until interpreter exit.
-        with pytest.raises(ChaosWorkerCrash):
-            executor.run([SweepTask(probe, (i,)) for i in range(4)])
+    @pytest.mark.parametrize("outcome", ["unfinished", "raised"])
+    def test_pool_death_with_unclean_tasks_fails_the_run(self, monkeypatch, outcome):
+        executor = SweepExecutor(backend="process", jobs=2)
+        pools = [InlinePool(break_at=2, finish=outcome == "raised"), InlinePool()]
+        use_pools(monkeypatch, executor, pools)
+        task = fail if outcome == "raised" else probe
+        # The task sent before the pool died did not finish cleanly, so
+        # its result went down with the pool: the run fails instead of
+        # resubmitting, and the dead pool is reaped.
+        with pytest.raises(RuntimeError, match="worker pool died mid-batch"):
+            executor.run([SweepTask(task, (i,)) for i in range(4)])
+        assert executor._pool is None
+        assert len(pools) == 1
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_crash_during_run_still_reaps_pool(self, backend):
+        executor = SweepExecutor(backend=backend, jobs=2)
+        tasks = [SweepTask(fail if i in (1, 2) else probe, (i,)) for i in range(4)]
+        # The first failing task, in input order, propagates — and the
+        # worker pool is reaped on the way out, not abandoned until
+        # interpreter exit.
+        with pytest.raises(ValueError, match="task 1 failed"):
+            executor.run(tasks)
         assert executor._pool is None
 
 

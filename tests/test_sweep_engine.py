@@ -161,6 +161,18 @@ class TestSweepExecutor:
         assert second.stats.executed == 0
         assert second.stats.cache_hits == 5
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_only_misses_execute(self, tmp_path, backend):
+        SweepExecutor("serial", cache=SweepCache(tmp_path)).map(
+            _square, [(i,) for i in range(0, 10, 2)]
+        )
+        with SweepExecutor(backend, jobs=2, cache=SweepCache(tmp_path)) as executor:
+            assert executor.map(_square, [(i,) for i in range(10)]) == [
+                i * i for i in range(10)
+            ]
+        assert executor.stats.cache_hits == 5
+        assert executor.stats.executed == 5
+
     def test_uncacheable_tasks_still_run(self, tmp_path):
         executor = SweepExecutor("serial", cache=SweepCache(tmp_path))
         doubler = lambda x: 2 * x  # noqa: E731 - deliberately unhashable
