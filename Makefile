@@ -1,10 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench experiments fleet fleet-faults fleet-large fleet-stream fleet-xxl chaos report bench-full help
+.PHONY: test fuzz bench experiments fleet fleet-faults fleet-large fleet-stream fleet-xxl chaos report bench-full help
+
+# Examples per `make fuzz` run (tier-1 runs a small derandomized profile).
+FUZZ_EXAMPLES ?= 3000
 
 help:
 	@echo "make test        - run the tier-1 test suite"
+	@echo "make fuzz        - generated differential test, fast vs reference"
+	@echo "                   fleet loop (FUZZ_EXAMPLES random runs, default 3000)"
 	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
 	@echo "                   (equivalence + speedup gates), updates"
 	@echo "                   BENCH_simulator.json"
@@ -30,6 +35,9 @@ help:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+fuzz:
+	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py
 
 bench:
 	$(PYTHON) -m benchmarks

@@ -27,19 +27,30 @@ decrements.  The reference loop still pays one heap event per round —
 O(total training steps) events for the whole trace.  The compressed
 path (:class:`FleetSimulator` default) instead advances
 ``k = min(remaining steps among residents)`` rounds as one **segment**
-with a single heap event at the segment's end, and replays the
-intermediate round boundaries lazily:
+with a single heap event at the segment's end, and flushes the
+intermediate round boundaries lazily, each machine's due ones in one
+step:
 
-* segment boundaries accumulate ``busy_until += round_time`` exactly as
-  the reference loop does, so every boundary, completion time and
-  utilisation figure is **bit-identical**;
-* before any event is handled, machines with unflushed boundaries at or
-  before ``now`` replay them in global ``(time, machine index)`` order,
-  so the interference trackers ingest the very same observation
-  sequence.  A **boundary calendar** — a heap of ``(next unflushed
-  boundary, machine index, epoch)`` — finds the due machines, so
-  bringing the fleet to ``now`` costs O(due · log) rather than an
-  O(machines) scan per event;
+* a segment's boundaries are accumulated once at its start with one
+  ``+ round_time`` per round, and ``busy_time`` folds one addition per
+  flushed round, in order, exactly as the reference loop's per-event
+  updates do — every boundary, completion time and utilisation figure
+  is **bit-identical**;
+* a flush bisects for the due boundaries and moves counters and
+  remaining steps in closed form.  Machine-local interference histories
+  are extended at once.  Fleet-wide pair histories are shared, so each
+  flush queues its boundaries as a *run*; after a full sync the runs
+  merge in ``(time, machine index, record)`` order, the order the
+  reference loop's heap pops round ends, and the fleet tracker ingests
+  the very same observation sequence.  A run that ``maxlen`` later
+  runs already push out of the history window is dropped early;
+* every arrival, fault, live deadline expiry and checkpoint capture
+  first brings the whole fleet to ``now``.  A **boundary calendar** — a
+  heap of ``(next unflushed boundary, machine index, epoch)`` — finds
+  the due machines, so that costs O(due · log) rather than an
+  O(machines) scan.  A round-end event flushes only its own machine:
+  with the queue empty nothing else is read, and with jobs queued every
+  boundary has its own event;
 * a placement onto a mid-segment machine truncates its segment to the
   current round (the new job joins at the next boundary, as always), and
   while the queue is non-empty every segment is clamped to one round —
@@ -57,11 +68,11 @@ Both loops consult a :class:`~repro.fleet.faults.FaultInjector`
 straggler windows and job preemptions are heap events of their own kind,
 ordered *after* round boundaries and *before* arrivals at equal
 timestamps.  In the compressed path every fault instant is a mandatory
-segment boundary — the handler lazily replays all due boundaries through
-the global heap first, applies the fault (aborting any in-flight round),
-and truncates surviving segments, so interference histories and every
-float stay bit-identical to the reference loop even mid-fault-storm.  An
-empty plan pushes no events and costs nothing.
+segment boundary — the handler flushes every due boundary first,
+applies the fault (aborting any in-flight round), and truncates
+surviving segments, so interference histories and every float stay
+bit-identical to the reference loop even mid-fault-storm.  An empty
+plan pushes no events and costs nothing.
 
 Open-loop arrivals & admission control
 --------------------------------------
@@ -101,8 +112,13 @@ from __future__ import annotations
 import heapq
 import math
 import time as _time
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, islice, repeat
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.config import RuntimeConfig
@@ -645,6 +661,14 @@ _ROUND_END = 0
 _FAULT = 1
 _EXPIRE = 2
 _ARRIVAL = 3
+
+
+def _window_rounds(rounds: int, per_round: int, maxlen: int | None) -> int:
+    """How many of ``rounds`` trailing rounds, each appending ``per_round``
+    values, can still show in a history capped at ``maxlen`` entries."""
+    if maxlen is None:
+        return rounds
+    return min(rounds, -(-maxlen // per_round))
 
 
 class FleetSimulator:
@@ -1495,6 +1519,10 @@ class FleetSimulator:
         max_retries = injector.max_retries
         overhead = 0.0
         now = 0.0
+        #: Latest end of a round a fault aborted.  The reference loop's
+        #: stale event for such a round still pops at that instant, and
+        #: a dead fleet fails its stranded jobs at the last popped event.
+        aborted_until = 0.0
         seq = 0
         events_processed = 0
         queue_view: tuple[Job, ...] | None = ()
@@ -1510,6 +1538,12 @@ class FleetSimulator:
         #: are dropped when popped.  Not checkpointed: a resume rebuilds
         #: it from the restored machines.
         calendar: list[tuple[float, int, int]] = []
+        #: Fleet-wide pair-history runs queued by ``flush``, keyed by the
+        #: ``id()`` of the history deque the entry holds: per deque, a
+        #: list of ``(last boundary, machine index, boundaries, values per
+        #: round)``.  ``merge_fleet_runs`` empties it after a full sync;
+        #: capture() merges first, so it is never checkpointed.
+        fleet_runs: dict[int, tuple[deque, list]] = {}
         arrivals_pulled = 0
         ckpt = self._ckpt
 
@@ -1533,9 +1567,11 @@ class FleetSimulator:
             # _run_reference).  Machines, tracker and heap were pickled
             # as ONE payload, so the seg_records' live references into
             # the machine-local and fleet-wide interference history
-            # deques are still shared after the round-trip.
+            # deques are still shared after the round-trip; the queue of
+            # fleet-history runs starts empty, as capture() left it.
             state = self._resume_payload["state"]
             now = state["now"]
+            aborted_until = state["aborted_until"]
             seq = state["seq"]
             offered = state["offered"]
             overhead = state["overhead"]
@@ -1565,9 +1601,14 @@ class FleetSimulator:
             heapq.heapify(calendar)
 
         def capture() -> dict:
+            # A snapshot carries no queued fleet-history run: bring every
+            # machine to ``now`` and merge the queue first.
+            sync_to(now)
+            merge_fleet_runs()
             return {
                 "mode": "compressed",
                 "now": now,
+                "aborted_until": aborted_until,
                 "seq": seq,
                 "offered": offered,
                 "overhead": overhead,
@@ -1624,16 +1665,89 @@ class FleetSimulator:
                 queue_limit=queue_limit,
             )
 
-        def retire_residents(
-            machine: MachineState, decrement: int, finish_time: float
+        def flush(
+            machine: MachineState, index: int, horizon: float, inclusive: bool
         ) -> None:
-            """Final-boundary bookkeeping shared by both flush paths:
-            advance every resident ``decrement`` steps, retire the
-            finished ones as :class:`JobCompletion` records."""
+            """Flush every boundary of ``machine``'s segment at or before
+            ``horizon`` (strictly before unless ``inclusive``) in one step.
+
+            Mirrors the reference loop's per-round ``finish_round`` +
+            ``start_round`` accounting in closed form.  ``busy_time``
+            folds one addition per round in order, as the reference's
+            per-event ``+=`` does (never ``sum()``: it compensates float
+            sums on Python 3.12).  A machine-local history only ever sees
+            this machine's boundaries, so it is extended here; fleet-wide
+            histories are shared, so the flushed boundaries are queued as
+            one run per history for ``merge_fleet_runs``.
+            """
+            busy_until = machine.busy_until
+            if busy_until > horizon or (busy_until == horizon and not inclusive):
+                return
+            left = machine.seg_rounds_left
+            round_time = machine.round_time
+            if left == 1:
+                count = 1
+                machine.busy_time += round_time
+            else:
+                bounds = machine.seg_bounds
+                done = len(bounds) - left
+                upto = (bisect_right if inclusive else bisect_left)(
+                    bounds, horizon, done
+                )
+                count = upto - done
+                machine.busy_time = reduce(
+                    add, repeat(round_time, count), machine.busy_time
+                )
+            machine.rounds += count
+            if machine.seg_records:
+                machine.corun_rounds += count
+                if machine.seg_blacklist:
+                    for kind_a, kind_b in machine.seg_blacklist:
+                        machine.tracker.mark_blacklisted(kind_a, kind_b)
+                        self.tracker.mark_blacklisted(kind_a, kind_b)
+                    machine.seg_blacklist = ()
+                for machine_history, fleet_history, values in machine.seg_records:
+                    machine_history.extend(
+                        values
+                        * _window_rounds(count, len(values), machine_history.maxlen)
+                    )
+                    maxlen = fleet_history.maxlen
+                    if left == 1:
+                        run = (busy_until, index, (busy_until,), values)
+                    else:
+                        # Only the boundaries that can still reach the
+                        # window: later ones of this run push out the rest.
+                        keep = _window_rounds(count, len(values), maxlen)
+                        run = (
+                            bounds[upto - 1], index, bounds[upto - keep : upto], values
+                        )
+                    entry = fleet_runs.get(id(fleet_history))
+                    if entry is None:
+                        fleet_runs[id(fleet_history)] = (fleet_history, [run])
+                        continue
+                    runs = entry[1]
+                    runs.append(run)
+                    if maxlen is not None and len(runs) > 2 * maxlen:
+                        # A run with maxlen later-ending runs behind it
+                        # is followed by maxlen entries, and every later
+                        # flush only adds later ones: it can never
+                        # reach the window.
+                        runs.sort()
+                        del runs[:-maxlen]
             remaining = machine.remaining_steps
+            if left > count:
+                for job in machine.residents:
+                    remaining[job.name] -= count
+                machine.seg_rounds_left = left - count
+                machine.busy_until = bounds[upto]
+                machine.touch()
+                return
+            # The segment's last boundary: retire the finished residents.
+            if left > 1:
+                busy_until = machine.busy_until = bounds[-1]
             still_running: list[Job] = []
             for job in machine.residents:
-                steps = remaining[job.name] - decrement
+                steps = remaining[job.name] - count
                 remaining[job.name] = steps
                 if steps <= 0:
                     del remaining[job.name]
@@ -1644,7 +1758,7 @@ class FleetSimulator:
                             machine_id=machine.machine_id,
                             arrival_time=job.arrival_time,
                             start_time=start_times.pop(job.name),
-                            finish_time=finish_time,
+                            finish_time=busy_until,
                             num_steps=job.num_steps,
                             attempts=attempts.get(job.name, 1),
                         )
@@ -1653,100 +1767,41 @@ class FleetSimulator:
                     still_running.append(job)
             machine.residents = still_running
             machine.round_active = False
+            machine.seg_rounds_left = 0
+            machine.seg_bounds = ()
             if machine.draining and not machine.residents and not machine.waiting:
                 machine.alive = False
                 machine.draining = False
-                machine.dead_since = finish_time
-
-        def flush_round(machine: MachineState, boundary: float) -> None:
-            """Replay one gang-round boundary of the current segment.
-
-            Mirrors the reference path's ``finish_round`` +
-            ``start_round`` accounting for one mid-segment round: the
-            interference records, counters and the bit-exact
-            ``busy_until += round_time`` accumulation.
-            """
-            for machine_history, fleet_history, slowdown in machine.seg_records:
-                machine_history.append(slowdown)
-                fleet_history.append(slowdown)
-            if machine.seg_blacklist:
-                for kind_a, kind_b in machine.seg_blacklist:
-                    machine.tracker.mark_blacklisted(kind_a, kind_b)
-                    self.tracker.mark_blacklisted(kind_a, kind_b)
-                machine.seg_blacklist = ()
-            machine.rounds += 1
-            if len(machine.residents) > 1:
-                machine.corun_rounds += 1
-            machine.busy_time += machine.round_time
-            machine.seg_rounds_left -= 1
-            if machine.seg_rounds_left > 0:
-                remaining = machine.remaining_steps
-                for job in machine.residents:
-                    remaining[job.name] -= 1
-                machine.busy_until = boundary + machine.round_time
-            else:
-                retire_residents(machine, 1, boundary)
+                machine.dead_since = busy_until
             machine.touch()
 
-        def bulk_flush(
-            machine: MachineState, now_time: float, allow_now: bool
-        ) -> None:
-            """Batch-replay a single-resident segment's due boundaries.
+        def merge_fleet_runs() -> None:
+            """Append the queued runs to their fleet-wide pair histories in
+            ``(boundary, machine index, record)`` order — the order the
+            reference loop's heap pops round ends in.
 
-            A segment with no resident pairs never records interference,
-            so its boundaries need no global ordering against other
-            machines — only the bit-exact per-round float accumulation
-            (``busy_until``/``busy_time`` advance by one addition per
-            round, exactly as the reference loop's per-event updates).
-            """
-            round_time = machine.round_time
-            busy_until = machine.busy_until
-            busy_time = machine.busy_time
-            left = machine.seg_rounds_left
-            flushed = 0
-            while left and (
-                busy_until < now_time or (busy_until == now_time and allow_now)
-            ):
-                busy_time += round_time
-                flushed += 1
-                left -= 1
-                if left:
-                    busy_until += round_time
-            if not flushed:
-                return
-            machine.busy_time = busy_time
-            machine.busy_until = busy_until
-            machine.seg_rounds_left = left
-            machine.rounds += flushed
-            if left:
-                remaining = machine.remaining_steps
-                for job in machine.residents:
-                    remaining[job.name] -= flushed
-            else:
-                retire_residents(machine, flushed, busy_until)
-            machine.touch()
+            Only valid after a full sync: every boundary flushed later
+            then sorts after every queued one."""
+            for fleet_history, runs in fleet_runs.values():
+                for _, _, values in sorted(
+                    (boundary, index, values)
+                    for _, index, bounds, values in runs
+                    for boundary in bounds
+                ):
+                    fleet_history.extend(values)
+            fleet_runs.clear()
 
-        def sync_to(now_time: float, own: MachineState | None = None) -> None:
-            """Flush every unflushed round boundary at or before ``now_time``.
+        def sync_to(now_time: float) -> None:
+            """Flush every machine's boundaries at or before ``now_time``.
 
-            Boundaries of co-running segments are replayed in global
-            ``(time, machine index)`` order — the order the reference
-            loop's heap pops equal-time round ends, now that round-end
-            events carry the machine's stable numeric index as their tie
-            key — so shared interference histories evolve identically;
-            pair-free segments batch through :func:`bulk_flush`.  The
-            calendar only finds the due machines: a co-run machine
-            replays its rounds through a local heap and goes back onto
-            the calendar once, at its first boundary past the horizon.
-            While the queue is non-empty only ``own``'s boundary at
-            exactly ``now_time`` is flushed, after every strictly earlier
-            one: every other machine then has its own heap event, and
-            the reference loop dispatches between them.
+            The calendar finds the due machines and each flushes all of
+            its due boundaries in one step; the fleet-wide histories'
+            global order is restored by ``merge_fleet_runs``.  While the
+            queue is non-empty, boundaries at exactly ``now_time`` are
+            left alone: each has its own round-end event, and the
+            reference loop dispatches between them.
             """
             inclusive = not pending
-            # Calendar pops arrive in (time, index) order, so the list
-            # of due co-run machines is built already heap-ordered.
-            flushable: list[tuple[float, int]] = []
             while calendar:
                 boundary, index, epoch = calendar[0]
                 if boundary > now_time or (boundary == now_time and not inclusive):
@@ -1759,34 +1814,10 @@ class FleetSimulator:
                     or machine.busy_until != boundary
                 ):
                     continue  # stale: truncated, restarted or flushed
-                if machine.seg_records:
-                    flushable.append((boundary, index))
-                else:
-                    bulk_flush(machine, now_time, inclusive)
-                    if machine.round_active:
-                        heapq.heappush(
-                            calendar, (machine.busy_until, index, machine.epoch)
-                        )
-            while flushable:
-                boundary, index = heapq.heappop(flushable)
-                machine = machines[index]
-                flush_round(machine, boundary)
+                flush(machine, index, now_time, inclusive)
                 if machine.round_active:
-                    nxt = machine.busy_until
-                    if nxt < now_time or (nxt == now_time and inclusive):
-                        heapq.heappush(flushable, (nxt, index))
-                    else:
-                        heapq.heappush(calendar, (nxt, index, machine.epoch))
-            if own is not None and not inclusive:
-                while own.round_active and own.busy_until == now_time:
-                    if own.seg_records:
-                        flush_round(own, now_time)
-                    else:
-                        bulk_flush(own, now_time, True)
-                if own.round_active:
                     heapq.heappush(
-                        calendar,
-                        (own.busy_until, int(own.machine_id[1:]), own.epoch),
+                        calendar, (machine.busy_until, index, machine.epoch)
                     )
 
         def truncate(machine: MachineState) -> None:
@@ -1794,6 +1825,7 @@ class FleetSimulator:
             change, or per-round policy consultation required)."""
             if machine.round_active and machine.seg_rounds_left > 1:
                 machine.seg_rounds_left = 1
+                machine.seg_bounds = ()
                 machine.epoch += 1
                 index = int(machine.machine_id[1:])
                 heapq.heappush(calendar, (machine.busy_until, index, machine.epoch))
@@ -1826,7 +1858,10 @@ class FleetSimulator:
                     for job in residents
                 }
                 threshold = self.tracker.threshold
-                records = []
+                # One record per pairing history, holding the values a
+                # round appends to it in pair order (a mix of three can
+                # append twice to one history).
+                records: dict[int, tuple] = {}
                 crossing = []
                 for i, job_a in enumerate(residents):
                     for job_b in residents[i + 1 :]:
@@ -1838,16 +1873,20 @@ class FleetSimulator:
                         )
                         if slowdown < 0:
                             slowdown = 0.0
-                        records.append(
-                            (
-                                machine.tracker.history_for(job_a.kind, job_b.kind),
-                                self.tracker.history_for(job_a.kind, job_b.kind),
-                                slowdown,
+                        kinds = (job_a.kind, job_b.kind)
+                        history = machine.tracker.history_for(*kinds)
+                        record = records.get(id(history))
+                        if record is None:
+                            records[id(history)] = (
+                                history,
+                                self.tracker.history_for(*kinds),
+                                (slowdown,),
                             )
-                        )
+                        else:
+                            records[id(history)] = (*record[:2], record[2] + (slowdown,))
                         if slowdown > threshold:
-                            crossing.append((job_a.kind, job_b.kind))
-                machine.seg_records = tuple(records)
+                            crossing.append(kinds)
+                machine.seg_records = tuple(records.values())
                 machine.seg_blacklist = tuple(crossing)
             else:
                 machine.seg_records = ()
@@ -1859,12 +1898,15 @@ class FleetSimulator:
                 # the identical per-round state sequence.
                 rounds = 1
             machine.seg_rounds_left = rounds
-            # The segment-end instant accumulates one addition per round —
-            # the same float sequence the reference loop's per-round
-            # ``now + round_time`` produces.
             end = machine.busy_until
-            for _ in range(rounds - 1):
-                end += round_time
+            if rounds > 1:
+                # Every boundary of the segment, one addition per round:
+                # the floats the reference loop's per-round
+                # ``now + round_time`` produces.
+                machine.seg_bounds = array(
+                    "d", accumulate(repeat(round_time, rounds - 1), initial=end)
+                )
+                end = machine.seg_bounds[-1]
             machine.epoch += 1
             index = int(machine.machine_id[1:])
             heapq.heappush(calendar, (machine.busy_until, index, machine.epoch))
@@ -1936,10 +1978,13 @@ class FleetSimulator:
             handler's ``sync_to``, so only the partial round between the
             last boundary and ``busy_until`` is destroyed — exactly the
             round the reference loop's ``abort_round`` discards."""
+            nonlocal aborted_until
             if machine.round_active:
+                aborted_until = max(aborted_until, machine.busy_until)
                 machine.lost_steps += len(machine.residents)
                 machine.round_active = False
                 machine.seg_rounds_left = 0
+                machine.seg_bounds = ()
                 machine.seg_records = ()
                 machine.seg_blacklist = ()
                 machine.epoch += 1
@@ -2060,12 +2105,20 @@ class FleetSimulator:
 
         while events:
             if ckpt is not None and events_processed >= ckpt._trigger:
-                # Loop tops are sync points: all boundaries due strictly
-                # before the previous event are flushed, so the captured
-                # state round-trips exactly.  The inlined ``_trigger``
-                # guard keeps the common no-save iteration to one compare.
+                # Loop tops are between events; capture() syncs the fleet
+                # to ``now`` first, so the captured state round-trips
+                # exactly.  The inlined ``_trigger`` guard keeps the
+                # common no-save iteration to one compare.
                 ckpt.tick(events_processed, capture)
-            event_time, kind, event_seq, payload = heapq.heappop(events)
+            event_time, kind, tie, payload = heapq.heappop(events)
+            if kind == _ROUND_END:
+                machine_id, epoch = payload  # type: ignore[misc]
+                machine = by_id[machine_id]
+                if epoch != machine.epoch:
+                    # Superseded by a truncation or a new segment.  It
+                    # may lie past every event the reference loop pops,
+                    # so it does not move ``now``.
+                    continue
             now = event_time
             if kind == _ARRIVAL:
                 events_processed += 1
@@ -2098,8 +2151,7 @@ class FleetSimulator:
             elif kind == _FAULT:
                 events_processed += 1
                 # Every fault instant is a mandatory segment boundary:
-                # replay all due rounds through the global order first,
-                # then mutate the fleet.
+                # flush all due rounds first, then mutate the fleet.
                 sync_to(now)
                 restart = apply_fault(payload)  # type: ignore[arg-type]
                 dispatch()
@@ -2125,21 +2177,28 @@ class FleetSimulator:
                 shed(job, "deadline-expire")
                 dispatch()
             else:
-                machine_id, epoch = payload  # type: ignore[misc]
-                machine = by_id[machine_id]
-                if epoch != machine.epoch:
-                    continue  # superseded by a truncation or a new segment
                 events_processed += 1
-                sync_to(now, own=machine)
+                # Only this machine's segment ends here (a round end's
+                # ``tie`` is its machine index).  No other machine is
+                # read: with the queue empty dispatch() returns at once,
+                # and with jobs queued every segment is one round with
+                # its own event.
+                if machine.round_active:
+                    flush(machine, tie, now, True)
                 dispatch()
                 if not machine.round_active:
                     start_segment(machine)
-            if pending:
+            if pending and kind != _ROUND_END:
                 # Reference semantics: with jobs queued, every machine's
-                # every round boundary triggers a fresh dispatch.
+                # every round boundary triggers a fresh dispatch.  Only
+                # an arrival or a fault can queue a job behind running
+                # multi-round segments; a round end cannot, and every
+                # segment started while jobs are queued is one round.
                 for m in machines:
                     truncate(m)
 
+        # Every segment has ended, so every boundary is flushed.
+        merge_fleet_runs()
         if pending:
             if any(m.accepting for m in machines):
                 stuck = list(pending)
@@ -2149,6 +2208,9 @@ class FleetSimulator:
                     + ", ".join(stuck),
                     stuck,
                 )
+            # Dead fleet: fail the stranded jobs at the reference loop's
+            # last popped event (see ``aborted_until``).
+            now = max(now, aborted_until)
             for job in list(pending.values()):
                 fail_job(job, now, max_retries)
             pending.clear()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from repro.core.interference import InterferenceTracker
 from repro.fleet.job import Job
@@ -163,9 +164,16 @@ class MachineState:
     #: Gang rounds of the current compressed segment not yet flushed
     #: (0 when idle or on the reference path).
     seg_rounds_left: int = 0
+    #: Every boundary instant of the current segment, accumulated once at
+    #: its start (``array('d')``); the next unflushed one is
+    #: ``seg_bounds[len(seg_bounds) - seg_rounds_left]``.  Empty for a
+    #: one-round (or truncated) segment, whose only boundary left is
+    #: ``busy_until``.
+    seg_bounds: Sequence[float] = field(default=(), repr=False)
     #: Per-round interference record plan, precomputed at segment start:
-    #: one (machine history deque, fleet history deque, slowdown) per
-    #: resident pair — flushing a round appends to both deques directly.
+    #: one (machine history deque, fleet history deque, values) per
+    #: distinct pairing of the residents, ``values`` being what one round
+    #: appends to that pairing's history, in pair order.
     seg_records: tuple = field(default=(), repr=False)
     #: Threshold-crossing pairs of this segment, applied to both
     #: blacklists at the first flushed boundary (then cleared).

@@ -15,7 +15,11 @@ Why one pickle per snapshot: the compressed loop's per-machine
 ``seg_records`` hold *live references* into the machine-local and
 fleet-wide interference history deques; pickling machines, tracker and
 heap as a single payload preserves that sharing exactly, so a resumed
-segment keeps appending to the same deques the flush replay reads.
+segment keeps extending the very deques the restored tracker holds.
+The loop's queue of fleet-history runs is deliberately not part of the
+payload: it is keyed by the ``id()`` of those deques, which pickling
+does not preserve, so the capture first brings every machine to the
+snapshot instant and merges the queue into the deques.
 
 Snapshots are **incremental over the result rows**: the placement and
 completion histories are append-only and quickly dwarf the mutable loop
@@ -63,7 +67,7 @@ DEFAULT_CHECKPOINT_DIR = ".checkpoints"
 #: Bump when the snapshot payload layout changes: a resume refuses a
 #: snapshot written by an incompatible schema instead of deserialising
 #: garbage into a live event loop.
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: State keys holding append-only result-row lists (packed tuples, see
 #: ``repro.fleet.simulator._PackCache``).  These are delta-written to

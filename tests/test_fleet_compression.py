@@ -8,7 +8,9 @@ optimisation — ``FleetSimulator(compressed=True)`` and the seed
 guarantees around ``canonical_mix`` signature stability, estimator
 memo accounting and the prewarm's on-disk dedupe.  The fast loop's
 boundary calendar is covered by the fault/admission traces below, which
-also compare the full fleet ``InterferenceTracker`` snapshot.
+also compare the full fleet ``InterferenceTracker`` snapshot; the
+history-order tests use an estimator whose slowdowns differ per
+machine, so a fleet-wide pair history merged out of order fails them.
 """
 
 from __future__ import annotations
@@ -83,6 +85,49 @@ def fake_estimator(machines, pair_factor=1.5, pair_factors=None):
         solo[(name, "kind-b")] = 1.5 * base
         solo[(name, "kind-c")] = 0.7 * base
     return FakeEstimator(solo, pair_factor, pair_factors)
+
+
+class MachinePairEstimator(FakeEstimator):
+    """FakeEstimator whose co-run step time depends on the machine.
+
+    A mix runs ``machine_factors[machine]`` times its slowest member,
+    unless ``pair_times`` pins ``(machine, sorted kinds)`` outright.  With
+    :class:`FakeEstimator` every machine records the same slowdown for a
+    pairing, so the order of a fleet-wide pair history is invisible; here
+    each machine records its own value, and a misordered history fails
+    the tracker comparison.
+    """
+
+    def __init__(self, solo, machine_factors, pair_times=None):
+        super().__init__(solo)
+        self.machine_factors = machine_factors
+        self.pair_times = pair_times or {}
+
+    def step_time(self, machine_name, jobs):
+        jobs = list(jobs)
+        if len(jobs) == 1:
+            return super().step_time(machine_name, jobs)
+        self.stats.requests += 1
+        kinds = tuple(sorted(j.kind for j in jobs))
+        pinned = self.pair_times.get((machine_name, kinds))
+        if pinned is not None:
+            return pinned
+        slowest = max(self.solo[(machine_name, j.kind)] for j in jobs)
+        return slowest * self.machine_factors[machine_name]
+
+
+#: Per-machine co-run factors: a two-job mix on the arm server crosses
+#: the default 0.75 blacklist threshold, on the others it stays below.
+MACHINE_FACTORS = {
+    "desktop-8c": 1.3,
+    "laptop-4c": 1.55,
+    "cloud-vm-16v": 1.42,
+    "arm-server-64c": 1.85,
+}
+
+
+def machine_pair_estimator(machines):
+    return MachinePairEstimator(fake_estimator(machines).solo, MACHINE_FACTORS)
 
 
 def deterministic_dict(result):
@@ -430,6 +475,72 @@ class TestCalendarByteIdentity:
             faults=fault_plan(jobs, seed=7),
             admission=AdmissionController(**ADMISSION),
         )
+
+
+def loops_outcome(machines, policy, jobs, estimator_for, **sim_kwargs):
+    """Digest plus fleet tracker snapshot of both loops, reference first."""
+    outcomes = []
+    for compressed in (False, True):
+        sim = FleetSimulator(
+            machines,
+            policy=policy,
+            estimator=estimator_for(machines),
+            compressed=compressed,
+            **sim_kwargs,
+        )
+        result = sim.run(jobs, prewarm=False)
+        outcomes.append((deterministic_dict(result), sim.tracker.snapshot()))
+    return outcomes
+
+
+class TestFleetHistoryOrder:
+    """The fleet-wide pair histories keep the reference loop's order:
+    boundary time first, then machine index, then record order."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("max_corun", [2, 3])
+    def test_machine_dependent_slowdowns(self, policy, max_corun):
+        # Long jobs on five mixed machines overflow the 128-entry window
+        # of every busy pair; each machine records its own slowdown.
+        jobs = calendar_trace(
+            24, seed=11, min_steps=150, max_steps=370, mean_interarrival=30.0
+        )
+        reference, compressed = loops_outcome(
+            MACHINES, policy, jobs, machine_pair_estimator, max_corun=max_corun
+        )
+        assert compressed == reference
+        histories = [values for _, values in reference[1].observations]
+        assert any(len(values) == 128 and len(set(values)) > 1 for values in histories)
+
+    def test_tied_boundaries_order_by_machine_index(self):
+        # Both machines co-run (kind-a, kind-b) at exactly 1.53 s after
+        # one 1.0 s kind-a solo round, so every co-run boundary ties; the
+        # two machines record different slowdowns, and only the machine
+        # index orders them.
+        machines = ["desktop-8c", "laptop-4c"]
+        solo = {
+            ("desktop-8c", "kind-a"): 1.0,
+            ("laptop-4c", "kind-a"): 1.0,
+            ("desktop-8c", "kind-b"): 1.0,
+            ("laptop-4c", "kind-b"): 1.25,
+        }
+        pinned = {(name, ("kind-a", "kind-b")): 1.53 for name in machines}
+        jobs = [
+            job(f"j{i}", workload=(SYN_B if i % 2 else SYN_A), steps=300)
+            for i in range(4)
+        ]
+        reference, compressed = loops_outcome(
+            machines,
+            "first-fit",
+            jobs,
+            lambda names: MachinePairEstimator(solo, {}, pinned),
+            interference_threshold=5.0,
+        )
+        assert compressed == reference
+        (key, history), = reference[1].observations
+        assert key == ("kind-a", "kind-b") and len(history) == 128
+        assert set(history[0::2]) == {1.53 / 1.0 - 1.0}  # m0, the desktop
+        assert set(history[1::2]) == {1.53 / 1.25 - 1.0}  # m1, the laptop
 
 
 class TestPrewarmDedupe:

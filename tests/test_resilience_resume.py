@@ -7,11 +7,25 @@ import pickle
 
 import pytest
 
+from test_fleet_compression import (
+    MACHINES,
+    calendar_trace,
+    deterministic_dict,
+    machine_pair_estimator,
+)
+
 from repro.api import run_fleet
+from repro.fleet import FleetSimulator
 from repro.resilience import RunInterrupted, list_checkpoint_runs
-from repro.resilience.checkpoint import CheckpointError, Checkpointer, checkpoint_dir
+from repro.resilience.checkpoint import (
+    CheckpointConfig,
+    CheckpointError,
+    Checkpointer,
+    checkpoint_dir,
+)
 from repro.resilience.resume import resume_fleet
 from repro.store import RunStore
+
 
 @pytest.fixture(scope="module", autouse=True)
 def shared_estimate_cache(tmp_path_factory):
@@ -148,6 +162,65 @@ def test_sharded_snapshot_is_refused(tmp_path):
         path.write_bytes(pickle.dumps(payload))
     with pytest.raises(CheckpointError, match="'sharded' loop"):
         resume_fleet(baseline.run_id, root=root, store=store)
+
+
+def test_version_two_snapshot_is_refused(tmp_path):
+    """Snapshots of schema 2, written before the compressed loop's
+    segment fields changed, do not resume."""
+    store = RunStore(tmp_path / "store")
+    root = tmp_path / "ck"
+    kw = dict(WORKLOAD, policy="first-fit", store=store)
+    baseline = run_fleet(**kw)
+    with pytest.raises(RunInterrupted):
+        run_fleet(
+            **kw,
+            checkpoint={
+                "interval": 50,
+                "root": root,
+                "interrupt_after": baseline.events_processed // 2,
+            },
+        )
+    for path in checkpoint_dir(baseline.run_id, root).glob("ck-*.pkl"):
+        payload = pickle.loads(path.read_bytes())
+        payload["version"] = 2
+        path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(CheckpointError, match="incompatible"):
+        resume_fleet(baseline.run_id, root=root, store=store)
+
+
+@pytest.mark.parametrize("interrupt_fraction", [0.1, 0.3, 0.55, 0.8])
+def test_resume_restores_the_fleet_tracker(tmp_path, interrupt_fraction):
+    """Store digests exclude the interference histories, so compare the
+    fleet tracker itself: long co-running jobs whose slowdowns differ per
+    machine, a snapshot every 5 events, interrupted and resumed."""
+    jobs = calendar_trace(24, seed=11, min_steps=150, max_steps=370, mean_interarrival=30.0)
+
+    def simulator():
+        return FleetSimulator(
+            MACHINES, policy="first-fit", estimator=machine_pair_estimator(MACHINES)
+        )
+
+    baseline = simulator()
+    result = baseline.run(jobs, prewarm=False)
+    want = (deterministic_dict(result), baseline.tracker.snapshot())
+    config = CheckpointConfig(
+        interval=5,
+        root=tmp_path,
+        background=False,
+        interrupt_after=int(result.events_processed * interrupt_fraction),
+    )
+    with pytest.raises(RunInterrupted):
+        simulator().run(
+            jobs, prewarm=False, checkpoint=config, run_id="tracker", manifest={}
+        )
+    checkpointer, payload = Checkpointer.open(
+        "tracker", config=CheckpointConfig(interval=5, root=tmp_path, background=False)
+    )
+    resumed = simulator()
+    result = resumed.run(
+        jobs, prewarm=False, checkpoint=checkpointer, resume_from=payload
+    )
+    assert (deterministic_dict(result), resumed.tracker.snapshot()) == want
 
 
 def test_double_interrupt_chained_resume(tmp_path):
