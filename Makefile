@@ -8,8 +8,9 @@ FUZZ_EXAMPLES ?= 3000
 
 help:
 	@echo "make test        - run the tier-1 test suite"
-	@echo "make fuzz        - generated differential test, fast vs reference"
-	@echo "                   fleet loop (FUZZ_EXAMPLES random runs, default 3000)"
+	@echo "make fuzz        - generated differential tests: fast vs reference"
+	@echo "                   fleet loop, screened vs per-position tree split"
+	@echo "                   search (FUZZ_EXAMPLES random runs each, default 3000)"
 	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
 	@echo "                   (equivalence + speedup gates), updates"
 	@echo "                   BENCH_simulator.json"
@@ -37,7 +38,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 fuzz:
-	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py
+	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py tests/test_mlkit_split.py
 
 bench:
 	$(PYTHON) -m benchmarks

@@ -44,7 +44,7 @@ class GradientBoostingRegression(Regressor):
         for _ in range(self.n_estimators):
             residual = y - current
             if self.subsample < 1.0:
-                size = max(2, int(self.subsample * n_samples))
+                size = min(n_samples, max(2, int(self.subsample * n_samples)))
                 idx = rng.choice(n_samples, size=size, replace=False)
             else:
                 idx = np.arange(n_samples)

@@ -152,6 +152,11 @@ class TestTreesAndEnsembles:
         assert large.score(X, y) > small.score(X, y)
         assert large.n_trees == 80
 
+    def test_gradient_boosting_subsample_of_a_single_sample(self):
+        model = GradientBoostingRegression(n_estimators=3, subsample=0.5, seed=0)
+        model.fit([[1.0, 2.0]], [4.0])
+        assert model.predict([[1.0, 2.0], [5.0, 0.0]]).tolist() == [4.0, 4.0]
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             DecisionTreeRegression(max_depth=0)
