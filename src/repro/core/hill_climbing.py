@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from repro.core.perf_model import ConfigurationPrediction, PredictionAccuracy
 from repro.execsim.standalone import StandaloneRunner
@@ -46,6 +47,9 @@ class HillClimbingProfile:
     _tables: dict[AffinityMode, tuple[tuple[int, ...], tuple[float, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: ``(cases, ranked items)`` of the last :meth:`HillClimbingModel.top_configurations`
+    #: ranking, dropped with the tables.
+    _ranking: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _tables_stamp: int = field(default=-1, init=False, repr=False, compare=False)
 
     def best(self) -> ConfigurationPrediction:
@@ -58,14 +62,34 @@ class HillClimbingProfile:
         return sorted(t for (t, a) in self.samples if a is affinity)
 
     def invalidate_tables(self) -> None:
-        """Drop the cached interpolation tables.
+        """Drop the cached interpolation tables and ranking.
 
         Call after *replacing* an existing sample's value in place;
         adding or removing samples is detected automatically (the cache
         is stamped with the sample count).
         """
         self._tables.clear()
+        self._ranking = None
         self._tables_stamp = -1
+
+    def _check_stamp(self) -> None:
+        if self._tables_stamp != len(self.samples):
+            self._tables.clear()
+            self._ranking = None
+            self._tables_stamp = len(self.samples)
+
+    def ranking(self, cases: list, rank: Callable[[], list]) -> list:
+        """``rank()``, memoised per ``cases`` list under the tables' stamp.
+
+        ``rank`` returns the ``cases`` with their predicted times, sorted
+        by time; it reads only the samples, so the result stays valid
+        exactly as long as the interpolation tables do.
+        """
+        self._check_stamp()
+        cached = self._ranking
+        if cached is None or cached[0] is not cases:
+            cached = self._ranking = (cases, rank())
+        return cached[1]
 
     def interpolation_table(
         self, affinity: AffinityMode
@@ -79,9 +103,7 @@ class HillClimbingProfile:
         overwrites an existing sample's value must call
         :meth:`invalidate_tables`.
         """
-        if self._tables_stamp != len(self.samples):
-            self._tables.clear()
-            self._tables_stamp = len(self.samples)
+        self._check_stamp()
         table = self._tables.get(affinity)
         if table is None:
             counts = tuple(sorted(t for (t, a) in self.samples if a is affinity))
@@ -89,6 +111,32 @@ class HillClimbingProfile:
             table = (counts, times)
             self._tables[affinity] = table
         return table
+
+
+def _interpolate(counts: tuple[int, ...], times: tuple[float, ...], threads: int) -> float:
+    """Predicted time at ``threads`` from one affinity's sorted samples."""
+    index = bisect_left(counts, threads)
+    if index < len(counts) and counts[index] == threads:
+        return times[index]
+    if index == 0:  # below the smallest sampled count
+        return times[0]
+    if index == len(counts):  # beyond the last sampled count
+        if len(counts) == 1:
+            return times[0]
+        # Extrapolate past the stopping point with the average slope of
+        # the last few samples, clamped to a plausible band: beyond the
+        # optimum the true curve rises slowly, so a noisy two-point slope
+        # must not be allowed to explode.
+        first = -3 if len(counts) >= 3 else -2
+        slope = (times[-1] - times[first]) / (counts[-1] - counts[first])
+        slope = max(slope, 0.0)
+        last = times[-1]
+        extrapolated = last + slope * (threads - counts[-1])
+        return float(min(max(extrapolated, last * 0.8), last * 2.5))
+    # interior: counts[index - 1] < threads < counts[index]
+    lower, upper = counts[index - 1], counts[index]
+    weight = (threads - lower) / (upper - lower)
+    return times[index - 1] * (1 - weight) + times[index] * weight
 
 
 class HillClimbingModel:
@@ -200,6 +248,21 @@ class HillClimbingModel:
 
     # -- prediction ----------------------------------------------------------------------
 
+    def _profile(self, signature: OpSignature) -> HillClimbingProfile:
+        profile = self._profiles.get(signature)
+        if profile is None:
+            raise KeyError(f"signature not profiled: {signature}")
+        return profile
+
+    @staticmethod
+    def _table(
+        profile: HillClimbingProfile, affinity: AffinityMode
+    ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        table = profile.interpolation_table(affinity)
+        if not table[0]:
+            raise KeyError(f"no samples for affinity {affinity} of {profile.signature}")
+        return table
+
     def predict(self, signature: OpSignature, threads: int, affinity: AffinityMode) -> float:
         """Predicted execution time via piecewise-linear interpolation.
 
@@ -209,34 +272,8 @@ class HillClimbingModel:
         """
         if threads < 1:
             raise ValueError("threads must be at least 1")
-        profile = self._profiles.get(signature)
-        if profile is None:
-            raise KeyError(f"signature not profiled: {signature}")
-        counts, times = profile.interpolation_table(affinity)
-        if not counts:
-            raise KeyError(f"no samples for affinity {affinity} of {signature}")
-        index = bisect_left(counts, threads)
-        if index < len(counts) and counts[index] == threads:
-            return times[index]
-        if index == 0:  # below the smallest sampled count
-            return times[0]
-        if index == len(counts):  # beyond the last sampled count
-            if len(counts) == 1:
-                return times[0]
-            # Extrapolate past the stopping point with the average slope of
-            # the last few samples, clamped to a plausible band: beyond the
-            # optimum the true curve rises slowly, so a noisy two-point slope
-            # must not be allowed to explode.
-            first = -3 if len(counts) >= 3 else -2
-            slope = (times[-1] - times[first]) / (counts[-1] - counts[first])
-            slope = max(slope, 0.0)
-            last = times[-1]
-            extrapolated = last + slope * (threads - counts[-1])
-            return float(min(max(extrapolated, last * 0.8), last * 2.5))
-        # interior: counts[index - 1] < threads < counts[index]
-        lower, upper = counts[index - 1], counts[index]
-        weight = (threads - lower) / (upper - lower)
-        return times[index - 1] * (1 - weight) + times[index] * weight
+        counts, times = self._table(self._profile(signature), affinity)
+        return _interpolate(counts, times, threads)
 
     def _all_cases(self) -> list[tuple[int, AffinityMode]]:
         if self._cases is None:
@@ -249,12 +286,26 @@ class HillClimbingModel:
             self._cases = cases
         return self._cases
 
+    def _predictions(self, signature: OpSignature) -> list[tuple[tuple[int, AffinityMode], float]]:
+        """``(case, predict(signature, *case))`` for every case, in case order.
+
+        The profile and each affinity's table are looked up once, not
+        once per case.
+        """
+        profile = self._profile(signature)
+        predictions = []
+        table_affinity = None
+        for case in self._all_cases():
+            threads, affinity = case
+            if affinity is not table_affinity:
+                counts, times = self._table(profile, affinity)
+                table_affinity = affinity
+            predictions.append((case, _interpolate(counts, times, threads)))
+        return predictions
+
     def predict_all(self, signature: OpSignature) -> dict[tuple[int, AffinityMode], float]:
         """Predictions for every feasible (threads, affinity) case."""
-        return {
-            (threads, affinity): self.predict(signature, threads, affinity)
-            for threads, affinity in self._all_cases()
-        }
+        return dict(self._predictions(signature))
 
     def best_configuration(self, signature: OpSignature) -> ConfigurationPrediction:
         """The best *measured* configuration (the hill climb's answer)."""
@@ -263,14 +314,24 @@ class HillClimbingModel:
     def top_configurations(
         self, signature: OpSignature, count: int
     ) -> list[ConfigurationPrediction]:
-        """The ``count`` most performant configurations by predicted time."""
+        """The ``count`` most performant configurations by predicted time.
+
+        The ranking is the :meth:`predict_all` items stably sorted by time
+        (ties keep case order: SPREAD counts ascending, then SHARED).  It
+        is kept on the profile beside its interpolation tables and dropped
+        with them (a sample added, or
+        :meth:`HillClimbingProfile.invalidate_tables`), so every Strategy-3
+        decision after the first reads it.
+        """
         if count < 1:
             raise ValueError("count must be at least 1")
-        predictions = self.predict_all(signature)
-        ranked = sorted(predictions.items(), key=lambda kv: kv[1])[:count]
+        ranked = self._profile(signature).ranking(
+            self._all_cases(),
+            lambda: sorted(self._predictions(signature), key=itemgetter(1)),
+        )
         return [
             ConfigurationPrediction(threads=t, affinity=a, predicted_time=time)
-            for (t, a), time in ranked
+            for (t, a), time in ranked[:count]
         ]
 
     # -- accuracy -------------------------------------------------------------------------

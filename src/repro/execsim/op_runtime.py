@@ -198,6 +198,62 @@ def clear_execution_time_cache() -> None:
     _execution_time_cached.cache_clear()
 
 
+#: Noise-free standalone totals: machine -> {(chars, threads, affinity): total}.
+_STANDALONE_TOTALS: dict[Machine, dict[tuple, float]] = {}
+
+#: Entries one machine's memo may hold before it is dropped and regrown.
+_STANDALONE_TOTALS_LIMIT = 262144
+
+
+def standalone_totals(machine: Machine) -> dict[tuple, float] | None:
+    """The process-wide memo of standalone totals for ``machine``.
+
+    Two runners on equal machines share one memo.  Resolve it once per
+    runner and pass it to :func:`standalone_total`: hashing a machine
+    walks its whole frozen dataclass tree.  Returns None for an
+    unhashable machine.
+    """
+    try:
+        return _STANDALONE_TOTALS.setdefault(machine, {})
+    except TypeError:
+        return None
+
+
+def standalone_total(
+    totals: dict[tuple, float] | None,
+    chars: OpCharacteristics,
+    machine: Machine,
+    threads: int,
+    affinity: AffinityMode,
+) -> float:
+    """``execution_time(chars, machine, threads, affinity).total``, memoised
+    in ``totals`` (``standalone_totals(machine)``).
+
+    Only the float is kept, not the breakdown: the hill climbs of every
+    estimate in a process revisit the same cases, and a breakdown costs
+    several times the memory.  A None memo or unhashable characteristics
+    compute uncached.
+    """
+    if totals is None:
+        return execution_time(chars, machine, threads, affinity).total
+    key = (chars, threads, affinity)
+    try:
+        total = totals.get(key)
+    except TypeError:
+        return execution_time(chars, machine, threads, affinity).total
+    if total is None:
+        total = execution_time(chars, machine, threads, affinity).total
+        if len(totals) >= _STANDALONE_TOTALS_LIMIT:
+            totals.clear()
+        totals[key] = total
+    return total
+
+
+def clear_standalone_totals() -> None:
+    """Drop every memoised standalone total (tests and long sweeps)."""
+    _STANDALONE_TOTALS.clear()
+
+
 @dataclass(frozen=True)
 class _AffinityGridTable:
     """Machine-only, per-thread-count quantities of one affinity's grid.

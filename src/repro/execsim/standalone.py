@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.execsim.op_runtime import OpTimeBreakdown, execution_time, sweep_thread_counts
+from repro.execsim.op_runtime import (
+    OpTimeBreakdown,
+    execution_time,
+    standalone_total,
+    standalone_totals,
+)
 from repro.execsim.simulator import (
     LaunchRequest,
     PlacementKind,
@@ -26,7 +31,7 @@ from repro.graph.op import OpInstance
 from repro.hardware.affinity import AffinityMode
 from repro.hardware.topology import Machine
 from repro.ops.characteristics import OpCharacteristics
-from repro.ops.cost import characterize
+from repro.ops.cost import CharacterizationCache, characterize, characterize_cached
 from repro.ops.registry import OpRegistry
 from repro.utils.seeding import make_rng
 
@@ -95,6 +100,12 @@ class StandaloneRunner:
         #: of ambient global state.
         self.sweep_cache = sweep_cache
         self._rng = make_rng(seed)
+        # ``run`` characterizes through the default-registry memo, or a
+        # per-runner one for a custom registry (as ``StepSimulator`` does).
+        self._characterize = (
+            characterize_cached if registry is None else CharacterizationCache(registry)
+        )
+        self._totals = standalone_totals(machine)
 
     # -- single-op measurements --------------------------------------------------
 
@@ -121,11 +132,18 @@ class StandaloneRunner:
         """Measured wall time of ``repeats`` back-to-back standalone runs.
 
         Measurement noise (if configured) is applied per run, mimicking
-        what the profiling steps of the runtime would observe.
+        what the profiling steps of the runtime would observe.  The
+        noise-free base time is ``measure(...).total``, taken from a
+        process-wide memo keyed by (machine, characteristics, threads,
+        affinity) (:func:`~repro.execsim.op_runtime.standalone_total`);
+        the noise is still drawn on every call, so the runner's generator
+        advances exactly as without the memo.
         """
         if repeats < 1:
             raise ValueError("repeats must be at least 1")
-        base = self.measure(op, threads, affinity).total
+        base = standalone_total(
+            self._totals, self._characterize(op), self.machine, threads, affinity
+        )
         if self.noise_sigma == 0.0:
             return base * repeats
         factors = self._rng.lognormal(mean=0.0, sigma=self.noise_sigma, size=repeats)

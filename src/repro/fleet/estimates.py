@@ -19,10 +19,12 @@ memo so one fleet simulation never pays for the same mix twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from repro.core.config import RuntimeConfig
 from repro.fleet.job import Job
+from repro.graph.dataflow import DataflowGraph
 from repro.hardware.zoo import get_machine
 from repro.scenarios import Workload, merge_graphs
 from repro.sweep.cache import SweepCache, UncacheableValue, content_key
@@ -32,6 +34,34 @@ from repro.sweep.executor import SweepExecutor, SweepTask, get_default_executor
 MixEntry = tuple[str, Workload, int]
 
 
+def _build_mix_graph(entries: tuple[MixEntry, ...]) -> DataflowGraph:
+    graphs = {
+        label: workload.build(graph_seed) for label, workload, graph_seed in entries
+    }
+    if len(graphs) == 1:
+        return next(iter(graphs.values()))
+    return merge_graphs(graphs, name="fleet-mix")
+
+
+#: The graphs of the last 64 distinct mixes (a fleet run estimates each
+#: mix on every machine kind it lands on).
+_mix_graph_cached = lru_cache(maxsize=64)(_build_mix_graph)
+
+
+def mix_graph(entries: tuple[MixEntry, ...]) -> DataflowGraph:
+    """The (merged) step graph of a canonical mix, built once per process.
+
+    The graph is shared by every estimate of the mix, on every machine
+    and in every sweep thread, so it must stay read-only: profiling, the
+    runtime policy and :class:`~repro.execsim.simulator.StepSimulator`
+    only read it.  Unhashable entries are built uncached.
+    """
+    try:
+        return _mix_graph_cached(entries)
+    except TypeError:
+        return _build_mix_graph(entries)
+
+
 def corun_step_time(
     entries: tuple[MixEntry, ...],
     machine_name: str,
@@ -39,23 +69,18 @@ def corun_step_time(
 ) -> float:
     """Simulated step time of one gang round on ``machine_name``.
 
-    Builds each entry's graph, merges them into one schedulable step,
-    profiles the merged graph with the hill-climbing model and runs one
-    scheduled step under the full runtime policy.  Pure and picklable:
-    the sweep engine's process backend and on-disk cache both apply.
+    Takes the mix's merged graph from :func:`mix_graph` (built and merged
+    once per process, not once per machine), profiles it with the
+    hill-climbing model and runs one scheduled step under the full
+    runtime policy.  Pure and picklable: the sweep engine's process
+    backend and on-disk cache both apply.
     """
     from repro.core.runtime import TrainingRuntime  # local: keeps import cycle-free
 
     if not entries:
         raise ValueError("a co-run mix needs at least one entry")
     machine = get_machine(machine_name)
-    graphs = {
-        label: workload.build(graph_seed) for label, workload, graph_seed in entries
-    }
-    if len(graphs) == 1:
-        graph = next(iter(graphs.values()))
-    else:
-        graph = merge_graphs(graphs, name="fleet-mix")
+    graph = mix_graph(entries)
     runtime = TrainingRuntime(machine, config)
     model = runtime.profile(graph)
     policy = runtime.build_policy(model)

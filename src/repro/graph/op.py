@@ -62,6 +62,7 @@ class OpInstance:
     output: TensorShape
     # attrs is excluded from equality/hashing so instances stay hashable
     # (names are unique within a graph, so identity is unambiguous anyway).
+    # A memo of anything computed from attrs must key on them as well.
     attrs: Mapping[str, Any] = field(default_factory=dict, compare=False)
     implementation: str = "mkl"
 

@@ -32,10 +32,19 @@ class OpRegistry:
         if op_type in self._estimators and not overwrite:
             raise ValueError(f"estimator for {op_type!r} already registered")
         self._estimators[op_type] = estimator
+        self._changed()
 
     def set_fallback(self, estimator: Estimator) -> None:
         """Set the estimator used for unknown operation types."""
         self._fallback = estimator
+        self._changed()
+
+    def _changed(self) -> None:
+        """Drop the default registry's characterization memo when it changes."""
+        if self is _DEFAULT_REGISTRY:
+            from repro.ops.cost import clear_characterization_cache
+
+            clear_characterization_cache()
 
     def is_known(self, op_type: str) -> bool:
         return op_type in self._estimators

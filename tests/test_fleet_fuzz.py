@@ -6,7 +6,9 @@ gaps, an optional admission controller, an optional seeded fault plan
 (crashes, stragglers, preemptions, mid-trace joins) and a blacklist
 threshold.  Both loops run it with an estimator whose co-run slowdowns
 differ per machine, and must agree on the digest and on the full
-fleet-wide interference tracker, or stall with the same message.
+fleet-wide interference tracker, or stall with the same message.  Every
+run that does not stall must account for each offered job exactly once,
+as one completion, failure or rejection, on both loops.
 
 Tier-1 runs a small derandomized profile.  ``make fuzz`` sets
 ``REPRO_FUZZ_EXAMPLES`` for a long randomized run.
@@ -150,6 +152,12 @@ def outcome(case, compressed):
         result = sim.run(case["jobs"], prewarm=False, faults=case["faults"])
     except FleetStalled as stalled:
         return ("stalled", str(stalled), sim.tracker.snapshot())
+    accounted = sorted(
+        record.job
+        for records in (result.completions, result.failures, result.rejections)
+        for record in records
+    )
+    assert accounted == sorted(job.name for job in case["jobs"]), compressed
     return (deterministic_dict(result), sim.tracker.snapshot())
 
 

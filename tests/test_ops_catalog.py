@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.baselines.tf_default import recommended_policy
+from repro.execsim.simulator import StepSimulator
+from repro.graph.dataflow import DataflowGraph
 from repro.graph.op import OpInstance
 from repro.graph.shapes import TensorShape, shape
 from repro.ops.catalog import known_op_types
 from repro.ops.characteristics import OpCharacteristics
-from repro.ops.cost import characterize, characterize_cached
-from repro.ops.registry import OpRegistry, default_registry
+from repro.ops.cost import (
+    CharacterizationCache,
+    characterize,
+    characterize_cached,
+    clear_characterization_cache,
+)
+from repro.ops.registry import OpRegistry, default_registry, register_op
 
 from tests.conftest import make_conv_op, make_elementwise_op
 
@@ -142,3 +152,71 @@ class TestRegistry:
         registry = default_registry()
         types = registry.known_types()
         assert list(types) == sorted(types)
+
+
+def _conv_with_kernel(kernel):
+    activation = shape(8, 14, 14, 64)
+    return OpInstance("conv", "Conv2D", (activation,), activation, attrs={"kernel": kernel})
+
+
+class TestCharacterizationMemo:
+    """The memos key on attrs, which ``OpInstance`` equality ignores."""
+
+    def test_kernel_sizes_do_not_collide(self):
+        small, large = _conv_with_kernel((1, 1)), _conv_with_kernel((7, 7))
+        assert small == large
+        assert characterize(large).flops == 49 * characterize(small).flops
+        clear_characterization_cache()
+        assert characterize_cached(small) == characterize(small)
+        assert characterize_cached(large) == characterize(large)
+        cache = CharacterizationCache(default_registry())
+        assert cache(small) == characterize(small)
+        assert cache(large) == characterize(large)
+
+    def test_unhashable_attrs_are_computed_uncached(self):
+        op = _conv_with_kernel([5, 5])
+        assert characterize_cached(op) == characterize(op)
+        assert CharacterizationCache()(op) == characterize(op)
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_one_op_step_after_a_colliding_lookup(self, small_machine, incremental):
+        def step_time(op):
+            graph = DataflowGraph("one-op")
+            graph.add_op(op)
+            simulator = StepSimulator(small_machine, incremental=incremental)
+            return simulator.run_step(graph, recommended_policy(small_machine)).step_time
+
+        small, large = _conv_with_kernel((1, 1)), _conv_with_kernel((7, 7))
+        clear_characterization_cache()
+        expected = step_time(large)
+        clear_characterization_cache()
+        assert step_time(small) != expected
+        assert step_time(large) == expected
+
+    def test_registration_clears_the_default_memo(self):
+        registry = default_registry()
+        op = make_elementwise_op("Relu")
+        original = registry._estimators["Relu"]
+        before = characterize_cached(op)
+
+        def heavier(instance):
+            chars = original(instance)
+            return dataclasses.replace(chars, flops=10 * chars.flops)
+
+        try:
+            register_op("Relu", heavier, overwrite=True)
+            assert characterize_cached(op) == characterize(op)
+            assert characterize_cached(op).flops == 10 * before.flops
+        finally:
+            register_op("Relu", original, overwrite=True)
+        assert characterize_cached(op) == before
+
+        unknown = OpInstance("weird", "SomeBrandNewOp", (shape(16, 16),), shape(16, 16))
+        fallback = registry._fallback
+        before = characterize_cached(unknown)
+        try:
+            registry.set_fallback(heavier)
+            assert characterize_cached(unknown) == heavier(unknown)
+        finally:
+            registry.set_fallback(fallback)
+        assert characterize_cached(unknown) == before
