@@ -65,11 +65,6 @@ class RuntimeSchedulerPolicy:
         self._graph: DataflowGraph | None = None
         self._fifo_rank: dict[str, int] = {}
         self._assignments: dict[str, _Assignment] = {}
-        # Per-step memos by op name: the model and the assignments are
-        # fixed within a step, so an op's Strategy-3 candidates and
-        # Strategy-4 serial time are too.
-        self._candidate_memo: dict[str, list[ConfigurationPrediction]] = {}
-        self._serial_memo: dict[str, float] = {}
 
     # -- step preparation ------------------------------------------------------------
 
@@ -78,8 +73,6 @@ class RuntimeSchedulerPolicy:
         self._graph = graph
         self._fifo_rank = {name: i for i, name in enumerate(topological_order(graph))}
         self._assignments = self._compute_assignments(graph, machine)
-        self._candidate_memo = {}
-        self._serial_memo = {}
 
     def _default_assignment(self, machine: Machine) -> _Assignment:
         return _Assignment(
@@ -163,14 +156,7 @@ class RuntimeSchedulerPolicy:
     # -- candidate generation (Strategy 3) ----------------------------------------------
 
     def _candidates(self, op: OpInstance) -> list[ConfigurationPrediction]:
-        """Top-k configurations for ``op``, reconciled with Strategy 2
-        (computed once per op and step)."""
-        candidates = self._candidate_memo.get(op.name)
-        if candidates is None:
-            candidates = self._candidate_memo[op.name] = self._reconciled_candidates(op)
-        return candidates
-
-    def _reconciled_candidates(self, op: OpInstance) -> list[ConfigurationPrediction]:
+        """Top-k configurations for ``op``, reconciled with Strategy 2."""
         config = self.config
         assignment = self._assignments[op.name]
         if not self.model.knows(op.signature):
@@ -317,12 +303,7 @@ class RuntimeSchedulerPolicy:
         )
 
         def serial_time(op: OpInstance) -> float:
-            time = self._serial_memo.get(op.name)
-            if time is None:
-                time = self._serial_memo[op.name] = self._predict_or_inf(
-                    op, 1, AffinityMode.SPREAD
-                )
-            return time
+            return self._predict_or_inf(op, 1, AffinityMode.SPREAD)
 
         candidates = [
             op

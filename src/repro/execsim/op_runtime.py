@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -193,11 +194,6 @@ def execution_time_cache_info():
     return _execution_time_cached.cache_info()
 
 
-def clear_execution_time_cache() -> None:
-    """Drop all memoised execution times (tests and long sweeps)."""
-    _execution_time_cached.cache_clear()
-
-
 #: Noise-free standalone totals: machine -> {(chars, threads, affinity): total}.
 _STANDALONE_TOTALS: dict[Machine, dict[tuple, float]] = {}
 
@@ -205,52 +201,49 @@ _STANDALONE_TOTALS: dict[Machine, dict[tuple, float]] = {}
 _STANDALONE_TOTALS_LIMIT = 262144
 
 
-def standalone_totals(machine: Machine) -> dict[tuple, float] | None:
-    """The process-wide memo of standalone totals for ``machine``.
-
-    Two runners on equal machines share one memo.  Resolve it once per
-    runner and pass it to :func:`standalone_total`: hashing a machine
-    walks its whole frozen dataclass tree.  Returns None for an
-    unhashable machine.
-    """
-    try:
-        return _STANDALONE_TOTALS.setdefault(machine, {})
-    except TypeError:
-        return None
-
-
-def standalone_total(
-    totals: dict[tuple, float] | None,
-    chars: OpCharacteristics,
+def standalone_totals(
     machine: Machine,
-    threads: int,
-    affinity: AffinityMode,
-) -> float:
-    """``execution_time(chars, machine, threads, affinity).total``, memoised
-    in ``totals`` (``standalone_totals(machine)``).
+) -> Callable[[OpCharacteristics, int, AffinityMode], float]:
+    """``total(chars, threads, affinity)``: the noise-free
+    ``execution_time(chars, machine, threads, affinity).total``, memoised
+    process-wide for ``machine``.
 
     Only the float is kept, not the breakdown: the hill climbs of every
     estimate in a process revisit the same cases, and a breakdown costs
-    several times the memory.  A None memo or unhashable characteristics
-    compute uncached.
+    several times the memory.  Functions for equal machines share one
+    memo.  Resolve the function once per runner: hashing a machine walks
+    its whole frozen dataclass tree.  An unhashable machine or
+    characteristics value is computed uncached.
     """
-    if totals is None:
-        return execution_time(chars, machine, threads, affinity).total
-    key = (chars, threads, affinity)
     try:
-        total = totals.get(key)
+        totals = _STANDALONE_TOTALS.setdefault(machine, {})
     except TypeError:
-        return execution_time(chars, machine, threads, affinity).total
-    if total is None:
-        total = execution_time(chars, machine, threads, affinity).total
-        if len(totals) >= _STANDALONE_TOTALS_LIMIT:
-            totals.clear()
-        totals[key] = total
+        return lambda chars, threads, affinity: execution_time(
+            chars, machine, threads, affinity
+        ).total
+
+    def total(chars: OpCharacteristics, threads: int, affinity: AffinityMode) -> float:
+        key = (chars, threads, affinity)
+        try:
+            value = totals.get(key)
+        except TypeError:
+            return execution_time(chars, machine, threads, affinity).total
+        if value is None:
+            value = execution_time(chars, machine, threads, affinity).total
+            if len(totals) >= _STANDALONE_TOTALS_LIMIT:
+                totals.clear()
+            totals[key] = value
+        return value
+
     return total
 
 
-def clear_standalone_totals() -> None:
-    """Drop every memoised standalone total (tests and long sweeps)."""
+def clear_execution_time_cache() -> None:
+    """Drop all memoised execution times and standalone totals (tests and
+    long sweeps)."""
+    _execution_time_cached.cache_clear()
+    for totals in _STANDALONE_TOTALS.values():
+        totals.clear()
     _STANDALONE_TOTALS.clear()
 
 

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.execsim.op_runtime import (
-    OpTimeBreakdown,
-    execution_time,
-    standalone_total,
-    standalone_totals,
-)
+from repro.execsim.op_runtime import OpTimeBreakdown, execution_time, standalone_totals
 from repro.execsim.simulator import (
     LaunchRequest,
     PlacementKind,
@@ -105,7 +100,7 @@ class StandaloneRunner:
         self._characterize = (
             characterize_cached if registry is None else CharacterizationCache(registry)
         )
-        self._totals = standalone_totals(machine)
+        self._total = standalone_totals(machine)
 
     # -- single-op measurements --------------------------------------------------
 
@@ -135,15 +130,13 @@ class StandaloneRunner:
         what the profiling steps of the runtime would observe.  The
         noise-free base time is ``measure(...).total``, taken from a
         process-wide memo keyed by (machine, characteristics, threads,
-        affinity) (:func:`~repro.execsim.op_runtime.standalone_total`);
+        affinity) (:func:`~repro.execsim.op_runtime.standalone_totals`);
         the noise is still drawn on every call, so the runner's generator
         advances exactly as without the memo.
         """
         if repeats < 1:
             raise ValueError("repeats must be at least 1")
-        base = standalone_total(
-            self._totals, self._characterize(op), self.machine, threads, affinity
-        )
+        base = self._total(self._characterize(op), threads, affinity)
         if self.noise_sigma == 0.0:
             return base * repeats
         factors = self._rng.lognormal(mean=0.0, sigma=self.noise_sigma, size=repeats)

@@ -34,32 +34,23 @@ from repro.sweep.executor import SweepExecutor, SweepTask, get_default_executor
 MixEntry = tuple[str, Workload, int]
 
 
-def _build_mix_graph(entries: tuple[MixEntry, ...]) -> DataflowGraph:
+@lru_cache(maxsize=64)
+def mix_graph(entries: tuple[MixEntry, ...]) -> DataflowGraph:
+    """The (merged) step graph of a canonical mix, built once per process
+    (the last 64 distinct mixes are kept: a fleet run estimates each mix
+    on every machine kind it lands on).
+
+    The graph is shared by every estimate of the mix, on every machine
+    and in every sweep thread, so it must stay read-only: profiling, the
+    runtime policy and :class:`~repro.execsim.simulator.StepSimulator`
+    only read it.
+    """
     graphs = {
         label: workload.build(graph_seed) for label, workload, graph_seed in entries
     }
     if len(graphs) == 1:
         return next(iter(graphs.values()))
     return merge_graphs(graphs, name="fleet-mix")
-
-
-#: The graphs of the last 64 distinct mixes (a fleet run estimates each
-#: mix on every machine kind it lands on).
-_mix_graph_cached = lru_cache(maxsize=64)(_build_mix_graph)
-
-
-def mix_graph(entries: tuple[MixEntry, ...]) -> DataflowGraph:
-    """The (merged) step graph of a canonical mix, built once per process.
-
-    The graph is shared by every estimate of the mix, on every machine
-    and in every sweep thread, so it must stay read-only: profiling, the
-    runtime policy and :class:`~repro.execsim.simulator.StepSimulator`
-    only read it.  Unhashable entries are built uncached.
-    """
-    try:
-        return _mix_graph_cached(entries)
-    except TypeError:
-        return _build_mix_graph(entries)
 
 
 def corun_step_time(

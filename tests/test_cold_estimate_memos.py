@@ -9,15 +9,10 @@ uncached computation gives, whatever ran before them.
 from __future__ import annotations
 
 from repro.core.config import RuntimeConfig
-from repro.execsim.op_runtime import (
-    clear_execution_time_cache,
-    clear_standalone_totals,
-    execution_time,
-    standalone_totals,
-)
+from repro.execsim import op_runtime
+from repro.execsim.op_runtime import clear_execution_time_cache, execution_time
 from repro.execsim.standalone import StandaloneRunner
 from repro.fleet import Job
-from repro.fleet import estimates
 from repro.fleet.estimates import canonical_mix, corun_step_time, mix_graph
 from repro.hardware.affinity import AffinityMode
 from repro.ops.cost import characterize, clear_characterization_cache
@@ -74,11 +69,23 @@ class TestStandaloneTotals:
         assert default == _expected_runs(knl, default_registry().estimate, ops, 0.05, 1, 3)
         assert custom != default
 
-    def test_clear(self, knl):
-        StandaloneRunner(knl).run(make_conv_op(), 4)
-        assert standalone_totals(knl)
-        clear_standalone_totals()
-        assert not standalone_totals(knl)
+    def test_cleared_with_the_execution_time_cache(self, knl, monkeypatch):
+        computed = []
+
+        def counted(*args, **kwargs):
+            computed.append(args)
+            return execution_time(*args, **kwargs)
+
+        monkeypatch.setattr(op_runtime, "execution_time", counted)
+        clear_execution_time_cache()
+        runner, op = StandaloneRunner(knl), make_conv_op()
+        runner.run(op, 4)
+        runner.run(op, 4)
+        assert len(computed) == 1
+        clear_execution_time_cache()
+        runner.run(op, 4)
+        StandaloneRunner(knl).run(op, 4)
+        assert len(computed) == 3
 
 
 SMALL_A = Workload(synthetic_ops=16, synthetic_width=4, label="memo-a")
@@ -88,8 +95,7 @@ SMALL_B = Workload(synthetic_ops=12, synthetic_width=2, heavy_fraction=0.6, labe
 def _clear_memos():
     clear_characterization_cache()
     clear_execution_time_cache()
-    clear_standalone_totals()
-    estimates._mix_graph_cached.cache_clear()
+    mix_graph.cache_clear()
 
 
 def test_corun_step_time_matches_cleared_memos():

@@ -267,8 +267,8 @@ class TestRanking:
         _assert_ranking_matches(model, profile, _cases(knl))
 
 
-class TestPolicyStepMemo:
-    """The policy's per-step candidate and serial-time memos reset per step."""
+class TestPolicyAcrossSteps:
+    """A policy reused across steps ranks with the profiles' current samples."""
 
     def test_second_step_reads_new_samples(self, knl):
         graph = synthetic_graph(40, seed=5)
@@ -284,7 +284,6 @@ class TestPolicyStepMemo:
             ]
 
         first = step(policy)
-        assert policy._candidate_memo and policy._serial_memo
         spread = ThreadPlacement.feasible_thread_counts(S, knl.topology)
         for signature in model.signatures:
             profile = model.profile_for(signature)
@@ -297,7 +296,4 @@ class TestPolicyStepMemo:
         assert second == step(fresh_policy)
         assert second != first
         for op in graph:
-            if op.name in policy._candidate_memo:
-                assert policy._candidate_memo[op.name] == fresh_policy._candidates(op)
-            if op.name in policy._serial_memo:
-                assert policy._serial_memo[op.name] == policy._predict_or_inf(op, 1, S)
+            assert policy._candidates(op) == fresh_policy._candidates(op)
