@@ -9,8 +9,9 @@ FUZZ_EXAMPLES ?= 3000
 help:
 	@echo "make test        - run the tier-1 test suite"
 	@echo "make fuzz        - generated differential tests: fast vs reference"
-	@echo "                   fleet loop, screened vs per-position tree split"
-	@echo "                   search, memoised vs reference Strategy-3 ranking"
+	@echo "                   fleet loop, resumed vs uninterrupted fleet run,"
+	@echo "                   screened vs per-position tree split search,"
+	@echo "                   memoised vs reference Strategy-3 ranking"
 	@echo "                   (FUZZ_EXAMPLES random runs each, default 3000)"
 	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
 	@echo "                   (equivalence + speedup gates), updates"

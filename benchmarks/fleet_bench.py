@@ -211,10 +211,11 @@ RESILIENCE_NUM_JOBS = 4 * XL_NUM_JOBS
 RESILIENCE_INTERARRIVAL = 0.1
 RESILIENCE_MIN_STEPS, RESILIENCE_MAX_STEPS = 3, 10
 RESILIENCE_QUEUE_LIMIT = 200
-#: Snapshot every this many processed events on the overhead leg.  With
-#: background (forked) writers the parent only pays for the state
-#: capture plus the fork's copy-on-write traffic — tens of ms per
-#: snapshot at this scale — while the ~2 MB pickle and its
+#: Snapshot every this many processed events on the overhead leg.  Where
+#: ``os.fork`` exists a forked child pickles and writes each
+#: self-contained snapshot, so the parent only pays for the state
+#: capture, the fork and its copy-on-write traffic — tens of ms per
+#: snapshot at this scale — while the pickle of the whole state and its
 #: cache-pollution aftermath land in the throwaway child; this interval
 #: checkpoints the ~52k-event stream twice, keeping the residual
 #: parent-side cost comfortably inside the gate on a noisy host.

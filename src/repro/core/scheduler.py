@@ -207,8 +207,7 @@ class RuntimeSchedulerPolicy:
     def _select_serial(self, context: SchedulingContext) -> list[LaunchRequest]:
         if context.running:
             return []
-        ready = sorted(context.ready, key=lambda op: self._fifo_rank.get(op.name, 0))
-        op = ready[0]
+        op = min(context.ready, key=lambda op: self._fifo_rank.get(op.name, 0))
         assignment = self._assignments[op.name]
         threads = min(assignment.threads, max(1, context.free_cores))
         return [
@@ -229,23 +228,17 @@ class RuntimeSchedulerPolicy:
         )
 
         # Rank ready operations by how time-consuming they are (their best
-        # predicted time), most expensive first.
-        def weight(op: OpInstance) -> float:
-            assignment = self._assignments[op.name]
-            if assignment.predicted_time == float("inf"):
-                return float("inf")
-            return assignment.predicted_time
-
-        ready = sorted(
-            context.ready,
-            key=lambda op: (-weight(op) if weight(op) != float("inf") else float("-inf"),
-                            self._fifo_rank.get(op.name, 0)),
-        )
+        # predicted time), most expensive first, FIFO among equals.
+        def rank(op: OpInstance) -> tuple[float, int]:
+            return (
+                -self._assignments[op.name].predicted_time,
+                self._fifo_rank.get(op.name, 0),
+            )
 
         if longest_remaining is None:
             # Idle machine: start the most time-consuming ready operation with
             # its assigned configuration.
-            op = ready[0]
+            op = min(context.ready, key=rank)
             assignment = self._assignments[op.name]
             return LaunchRequest(
                 op_name=op.name,
@@ -256,6 +249,7 @@ class RuntimeSchedulerPolicy:
 
         # Try to find an operation with a candidate that fits the idle cores
         # and does not outlast the ongoing operations.
+        ready = sorted(context.ready, key=rank)
         for op in ready:
             if not self.interference.allowed_with_all(op.op_type, running_types):
                 continue

@@ -27,7 +27,6 @@ from repro.fleet.job import Job
 from repro.graph.dataflow import DataflowGraph
 from repro.hardware.zoo import get_machine
 from repro.scenarios import Workload, merge_graphs
-from repro.sweep.cache import SweepCache, UncacheableValue, content_key
 from repro.sweep.executor import SweepExecutor, SweepTask, get_default_executor
 
 #: Canonical co-run mix entry: (label, workload, graph_seed).
@@ -110,16 +109,14 @@ def canonical_mix(jobs: Sequence[Job]) -> tuple[MixEntry, ...]:
 class EstimatorStats:
     """How many estimates were requested vs actually simulated.
 
-    ``cache_hits``/``cache_misses`` count lookups against the shared
-    on-disk estimate cache (zero when no cache is enabled): a hit means
-    the estimate was loaded instead of simulated, so warm simulators
-    and repeat prewarms skip the sweep fan-out entirely.
+    ``cache_hits`` counts estimates the executor's on-disk cache served
+    instead of simulating them (zero when no cache is enabled), so warm
+    simulators and repeat prewarms skip the simulation entirely.
     """
 
     requests: int = 0
     computed: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def memo_hits(self) -> int:
@@ -145,68 +142,33 @@ class StepTimeEstimator:
     def _executor(self) -> SweepExecutor:
         return self.executor if self.executor is not None else get_default_executor()
 
-    def _cache(self) -> SweepCache:
-        """The shared on-disk estimate cache: the executor's.
+    def _compute(self, keys: Sequence[tuple[str, tuple[MixEntry, ...]]]) -> list[float]:
+        """Estimate each ``(machine, mix)`` key through the executor and memo it.
 
-        Estimates live under their own ``"estimate"`` content-key
-        namespace so any process holding the same cache root shares
-        them with the same atomic sharded-pickle discipline as
-        :class:`SweepCache` task results.
+        The executor's result cache is the only on-disk lookup; its
+        ``stats`` deltas say how many estimates it served from disk and
+        how many it simulated.
         """
-        return self._executor().cache
-
-    def _cache_key(self, machine_name: str, entries: tuple[MixEntry, ...]) -> str:
-        return content_key("estimate", machine_name, entries, self.config)
-
-    def _cache_lookup(
-        self, cache: SweepCache, machine_name: str, entries: tuple[MixEntry, ...]
-    ) -> tuple[bool, float | None]:
-        if not cache:
-            return False, None
-        try:
-            key = self._cache_key(machine_name, entries)
-        except UncacheableValue:
-            return False, None
-        hit, value = cache.lookup(key)
-        if hit:
-            self.stats.cache_hits += 1
-        else:
-            self.stats.cache_misses += 1
-        return hit, value
-
-    def _cache_store(
-        self,
-        cache: SweepCache,
-        machine_name: str,
-        entries: tuple[MixEntry, ...],
-        value: float,
-    ) -> None:
-        if not cache:
-            return
-        try:
-            key = self._cache_key(machine_name, entries)
-        except UncacheableValue:
-            return
-        cache.store(key, value)
+        executor = self._executor()
+        hits, executed = executor.stats.cache_hits, executor.stats.executed
+        values = executor.run(
+            [
+                SweepTask(corun_step_time, (entries, machine_name, self.config))
+                for machine_name, entries in keys
+            ]
+        )
+        self.stats.cache_hits += executor.stats.cache_hits - hits
+        self.stats.computed += executor.stats.executed - executed
+        self._memo.update(zip(keys, values))
+        return values
 
     def step_time(self, machine_name: str, jobs: Sequence[Job]) -> float:
         """Round duration of ``jobs`` gang-stepping on ``machine_name``."""
-        entries = canonical_mix(jobs)
-        key = (machine_name, entries)
+        key = (machine_name, canonical_mix(jobs))
         self.stats.requests += 1
         value = self._memo.get(key)
         if value is None:
-            cache = self._cache()
-            hit, cached = self._cache_lookup(cache, machine_name, entries)
-            if hit:
-                value = cached
-            else:
-                value = self._executor().run(
-                    [SweepTask(corun_step_time, (entries, machine_name, self.config))]
-                )[0]
-                self.stats.computed += 1
-                self._cache_store(cache, machine_name, entries, value)
-            self._memo[key] = value
+            (value,) = self._compute([key])
         return value
 
     def solo_time(self, machine_name: str, job: Job) -> float:
@@ -229,7 +191,8 @@ class StepTimeEstimator:
         every distinct :func:`canonical_mix` signature of up to
         ``max_corun`` members drawn from the trace's job classes, so a
         compressed fleet run can start every segment on a memo hit.
-        Returns the number of estimates computed (post-memo).
+        Returns the number of estimates simulated (not served by the
+        memo or the on-disk cache).
         """
         from itertools import combinations_with_replacement
 
@@ -245,37 +208,20 @@ class StepTimeEstimator:
         for size in range(1, max_corun + 1):
             for combo in combinations_with_replacement(representatives, size):
                 mixes.append(canonical_mix(combo))
-        cache = self._cache()
-        tasks: list[SweepTask] = []
-        keys: list[tuple] = []
-        seen: set[tuple] = set(self._memo)
-        for machine_name in dict.fromkeys(machine_names):
-            for entries in mixes:
-                key = (machine_name, entries)
-                if key in seen:
-                    continue
-                seen.add(key)
-                # Dedupe against the shared on-disk estimate cache:
-                # warm simulators (repeat policies, other processes)
-                # fill the memo from disk instead of fanning the mix out
-                # through the sweep engine again.
-                hit, cached = self._cache_lookup(cache, machine_name, entries)
-                if hit:
-                    self._memo[key] = cached
-                    self.stats.requests += 1
-                    continue
-                keys.append(key)
-                tasks.append(
-                    SweepTask(corun_step_time, (entries, machine_name, self.config))
-                )
-        if not tasks:
+        keys = [
+            (machine_name, entries)
+            for machine_name in dict.fromkeys(machine_names)
+            for entries in dict.fromkeys(mixes)
+            if (machine_name, entries) not in self._memo
+        ]
+        if not keys:
             return 0
-        results = self._executor().run(tasks)
-        for key, value in zip(keys, results):
-            self._memo[key] = value
-            self._cache_store(cache, key[0], key[1], value)
-        # Prewarmed estimates are requests too, so ``memo_hits`` (the
-        # requests/computed difference) can never go negative.
-        self.stats.requests += len(tasks)
-        self.stats.computed += len(tasks)
-        return len(tasks)
+        # Warm simulators (repeat policies, other processes) fill the
+        # memo from the executor's on-disk cache instead of simulating
+        # the mixes again.  Prewarmed estimates are requests too, so
+        # ``memo_hits`` (the requests/computed difference) can never go
+        # negative.
+        computed = self.stats.computed
+        self._compute(keys)
+        self.stats.requests += len(keys)
+        return self.stats.computed - computed

@@ -384,7 +384,8 @@ class _PackCache:
     just the rows appended since the previous one — total packing work
     per run is O(jobs) regardless of how many snapshots are taken.  The
     returned list is shared between snapshots; the checkpointer pickles
-    it synchronously inside ``save``, before the next append.
+    it inside ``save`` (or forks a writer that does), before the next
+    append.
     """
 
     __slots__ = ("count", "packed")

@@ -21,16 +21,12 @@ payload: it is keyed by the ``id()`` of those deques, which pickling
 does not preserve, so the capture first brings every machine to the
 snapshot instant and merges the queue into the deques.
 
-Snapshots are **incremental over the result rows**: the placement and
-completion histories are append-only and quickly dwarf the mutable loop
-state, so re-pickling them wholesale would make every save O(run so
-far).  Instead each save writes the rows *added since the previous
-save* to a ``rows-<seq>.pkl`` segment (never pruned — together the
-segments hold each row exactly once) and the mutable state to a pruned
-``ck-<seq>.pkl``; :meth:`Checkpointer.open` splices the segments back
-under the newest readable snapshot.  Save cost is therefore O(interval)
-instead of O(events so far), and the total row-serialisation work over
-a whole run is O(rows) no matter how many snapshots are taken.
+Each snapshot is **self-contained**: ``ck-<seq>.pkl`` holds the whole
+captured state, result rows included, so the newest readable snapshot
+plus the manifest restores the run on its own, and a lost or torn save
+strands no later one.  Periodic saves are pickled and written by a
+forked child where ``os.fork`` exists (see :meth:`Checkpointer.save`);
+the final save before :class:`RunInterrupted` is synchronous.
 
 What is deliberately *not* captured:
 
@@ -66,13 +62,13 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 DEFAULT_CHECKPOINT_DIR = ".checkpoints"
 #: Bump when the snapshot payload layout changes: a resume refuses a
 #: snapshot written by an incompatible schema instead of deserialising
-#: garbage into a live event loop.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: garbage into a live event loop.  Version 3 snapshots are refused:
+#: their result rows lived in separate delta files.
+CHECKPOINT_SCHEMA_VERSION = 4
 
-#: State keys holding append-only result-row lists (packed tuples, see
-#: ``repro.fleet.simulator._PackCache``).  These are delta-written to
-#: ``rows-*.pkl`` segments instead of being re-pickled on every save.
-_ROW_KEYS = ("placements", "completions")
+#: Whether periodic saves can go to a forked writer.  Tests patch it to
+#: ``False`` for synchronous writes.
+_CAN_FORK = hasattr(os, "fork")
 
 
 class CheckpointError(RuntimeError):
@@ -157,14 +153,6 @@ class CheckpointConfig:
     keep: int = 2
     keep_on_success: bool = False
     interrupt_after: int | None = None
-    #: Serialise and write snapshots from a forked child (BGSAVE-style)
-    #: where the platform allows it.  Pickling the ~10^5-object live
-    #: graph in-process measurably degrades the simulator's allocator
-    #: and cache locality for the *rest of the run* — far beyond the
-    #: dump's own wall time — so the parent hands the copy-on-write
-    #: snapshot to a child that pickles, writes and ``os._exit``s.
-    #: Ignored (synchronous saves) when ``os.fork`` is unavailable.
-    background: bool = True
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -195,8 +183,6 @@ def resolve_checkpoint(
         config = CheckpointConfig()
     elif isinstance(value, CheckpointConfig):
         config = value
-    elif isinstance(value, bool):  # unreachable, keeps bool out of the int arm
-        config = CheckpointConfig()
     elif isinstance(value, int):
         config = CheckpointConfig(interval=value)
     elif isinstance(value, dict):
@@ -226,55 +212,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _splice_rows(directory: Path, payload: dict) -> None:
-    """Rebuild a snapshot's full row lists from its delta segments.
-
-    Mutates ``payload["state"]`` in place: every key in
-    ``payload["row_totals"]`` gets the concatenation of the
-    ``rows-*.pkl`` deltas with ``seq <=`` the snapshot's, spliced at
-    each segment's recorded base offset (so a re-sent delta after a
-    torn write just overwrites identical rows).  Raises
-    :class:`CheckpointError` when the spliced history has holes or
-    falls short of the snapshot's recorded totals.
-    """
-    totals = payload.get("row_totals") or {}
-    if not totals:
-        return
-    spliced: dict[str, list] = {key: [] for key in totals}
-    for path in sorted(directory.glob("rows-*.pkl")):
-        try:
-            if int(path.stem.split("-", 1)[1]) > payload["seq"]:
-                continue  # newer than the snapshot being restored
-        except ValueError:
-            raise CheckpointError(f"unparseable row segment name {path.name}")
-        try:
-            segment = pickle.loads(path.read_bytes())
-        except Exception as exc:
-            raise CheckpointError(f"torn row segment {path.name}: {exc}") from exc
-        if (
-            not isinstance(segment, dict)
-            or segment.get("version") != CHECKPOINT_SCHEMA_VERSION
-            or segment.get("run_id") != payload.get("run_id")
-            or segment.get("seq") != int(path.stem.split("-", 1)[1])
-        ):
-            raise CheckpointError(f"incompatible row segment {path.name}")
-        for key, delta in (segment.get("rows") or {}).items():
-            rows = spliced.setdefault(key, [])
-            base = (segment.get("base") or {}).get(key, len(rows))
-            if base > len(rows):
-                raise CheckpointError(
-                    f"row segment {path.name} leaves a hole in {key!r} "
-                    f"(base {base}, have {len(rows)})"
-                )
-            rows[base : base + len(delta)] = delta
-    for key, total in totals.items():
-        rows = spliced.get(key, [])
-        if len(rows) < total:
-            raise CheckpointError(
-                f"row history for {key!r} is short: "
-                f"{len(rows)} spliced rows vs {total} recorded"
-            )
-        payload["state"][key] = rows[:total]
+def _write_snapshot(path: Path, payload: dict) -> None:
+    _atomic_write(path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class Checkpointer:
@@ -306,12 +245,8 @@ class Checkpointer:
         self._last_events = 0
         self._stop = False
         self._manifest_written = False
-        #: Per row key: how many rows the rows-*.pkl segments already
-        #: hold — the base offset of the next delta write.
-        self._rows_persisted: dict[str, int] = {}
-        #: Live background-writer pids (see ``CheckpointConfig.background``).
-        self._children: list[int] = []
-        self._background = bool(self.config.background and hasattr(os, "fork"))
+        #: Pid of the forked writer still in flight (see :meth:`save`).
+        self._writer: int | None = None
         self._dir = checkpoint_dir(run_id, self.config.root)
         self._rearm()
 
@@ -360,114 +295,68 @@ class Checkpointer:
             raise RunInterrupted(self.run_id, self.seq, events)
 
     def save(self, events: int, state: dict, *, wait: bool = False) -> Path:
-        """Atomically write one snapshot and prune old ones.
+        """Atomically write one self-contained snapshot and prune old ones.
 
-        Row histories (see ``_ROW_KEYS``) leave the snapshot and go to a
-        ``rows-<seq>.pkl`` delta segment: only rows appended since the
-        previous save are serialised.  Each segment records its base
-        offsets, so a retried save after a torn write just overwrites
-        the same positions on splice — the rows are deterministic.
-
-        Periodic saves hand serialisation to a forked child when the
-        config allows (see :class:`CheckpointConfig.background`); with
-        ``wait=True`` (the final snapshot before :class:`RunInterrupted`)
-        the write is synchronous and all in-flight writers are reaped
-        first, so the directory is quiescent when the caller sees the
-        interrupt.
+        Where ``os.fork`` exists, a periodic save hands pickling and
+        writing to a forked child (BGSAVE-style): pickling the
+        ~10^5-object live graph in-process measurably degrades the
+        simulator's allocator and cache locality for the rest of the
+        run, far beyond the dump's own wall time.  At most one writer is
+        in flight, so a save first waits for the previous one.  With
+        ``wait=True`` (the final snapshot before :class:`RunInterrupted`),
+        or when no child can be forked, the write is synchronous, so the
+        directory is quiescent when the caller sees the interrupt.
         """
         self.seq += 1
-        slim = dict(state)
-        row_deltas: dict[str, list] = {}
-        row_bases: dict[str, int] = {}
-        row_totals: dict[str, int] = {}
-        for key in _ROW_KEYS:
-            rows = slim.pop(key, None)
-            if rows is None:
-                continue
-            base = self._rows_persisted.get(key, 0)
-            row_deltas[key] = rows[base:]
-            row_bases[key] = base
-            row_totals[key] = len(rows)
         self._write_manifest()
-        segment = None
-        if row_totals:
-            segment = {
-                "version": CHECKPOINT_SCHEMA_VERSION,
-                "run_id": self.run_id,
-                "seq": self.seq,
-                "base": row_bases,
-                "rows": row_deltas,
-            }
         payload = {
             "version": CHECKPOINT_SCHEMA_VERSION,
             "run_id": self.run_id,
             "seq": self.seq,
             "events": events,
-            "row_totals": row_totals,
-            "state": slim,
+            "state": state,
         }
         path = self._dir / f"ck-{self.seq:08d}.pkl"
-        if wait:
-            self._reap(block=True)
-            self._write_snapshot(path, segment, payload)
-        else:
-            self._reap(block=False)
-            pid = self._fork_writer(path, segment, payload)
-            if pid is None:
-                self._write_snapshot(path, segment, payload)
-            else:
-                self._children.append(pid)
-        # Advance the delta bases assuming the snapshot lands; if a
-        # background writer dies its segment is missing and the splice
-        # detects the hole, falling back to an older intact snapshot.
-        self._rows_persisted.update(row_totals)
+        self._join_writer()
+        if wait or not self._fork_writer(path, payload):
+            _write_snapshot(path, payload)
         self.saves += 1
         self._last_events = events
         self._rearm()
         self._prune()
         return path
 
-    def _write_snapshot(self, path: Path, segment: dict | None, payload: dict) -> None:
-        if segment is not None:
-            _atomic_write(
-                self._dir / f"rows-{payload['seq']:08d}.pkl",
-                pickle.dumps(segment, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        _atomic_write(path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def _fork_writer(self, path: Path, segment: dict | None, payload: dict) -> "int | None":
-        """Fork a child that serialises + writes the snapshot, BGSAVE-style.
+    def _fork_writer(self, path: Path, payload: dict) -> bool:
+        """Fork a child that writes the snapshot; ``False`` if none was forked.
 
         The child sees the copy-on-write image of the loop state as of
         this sync point, pickles and writes it, then ``os._exit``s —
-        never running finalisers or flushing inherited stdio.  Returns
-        ``None`` (caller writes synchronously) when backgrounding is off
-        or the fork fails.
+        never running finalisers or flushing inherited stdio.
         """
-        if not self._background:
-            return None
+        if not _CAN_FORK:
+            return False
         try:
             pid = os.fork()
         except OSError:
-            return None
-        if pid != 0:
-            return pid
-        status = 1
-        try:
-            self._write_snapshot(path, segment, payload)
-            status = 0
-        finally:
-            os._exit(status)
-
-    def _reap(self, *, block: bool) -> None:
-        """Collect finished background writers (all of them when ``block``)."""
-        for pid in list(self._children):
+            return False
+        if pid == 0:
+            status = 1
             try:
-                done, _ = os.waitpid(pid, 0 if block else os.WNOHANG)
-            except (ChildProcessError, OSError):
-                done = pid
-            if done:
-                self._children.remove(pid)
+                _write_snapshot(path, payload)
+                status = 0
+            finally:
+                os._exit(status)
+        self._writer = pid
+        return True
+
+    def _join_writer(self) -> None:
+        """Wait for the forked writer in flight, if there is one."""
+        if self._writer is not None:
+            try:
+                os.waitpid(self._writer, 0)
+            except ChildProcessError:
+                pass  # reaped elsewhere, e.g. with SIGCHLD ignored
+            self._writer = None
 
     def _write_manifest(self) -> None:
         if self._manifest_written or self.manifest is None:
@@ -493,7 +382,7 @@ class Checkpointer:
 
     def complete(self) -> None:
         """The run finished: drop its snapshots (unless asked to keep)."""
-        self._reap(block=True)
+        self._join_writer()
         if self.config.keep_on_success:
             return
         shutil.rmtree(self._dir, ignore_errors=True)
@@ -504,8 +393,6 @@ class Checkpointer:
             pass
 
     # -- read path -----------------------------------------------------------------
-
-
 
     @classmethod
     def open(
@@ -546,10 +433,6 @@ class Checkpointer:
                 and candidate.get("run_id") == run_id
                 and isinstance(candidate.get("state"), dict)
             ):
-                try:
-                    _splice_rows(directory, candidate)
-                except CheckpointError:
-                    continue  # missing/torn row segment: try an older snapshot
                 payload = candidate
                 break
         if payload is None:
@@ -561,7 +444,6 @@ class Checkpointer:
         checkpointer = cls(run_id, resume_config, manifest=body.get("manifest"))
         checkpointer.seq = payload["seq"]
         checkpointer._last_events = payload["events"]
-        checkpointer._rows_persisted = dict(payload.get("row_totals") or {})
         checkpointer._rearm()
         checkpointer._manifest_written = True
         return checkpointer, payload

@@ -12,6 +12,8 @@ the digest is byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -43,14 +45,7 @@ def resume_fleet(
     if isinstance(checkpoint, dict):
         checkpoint = CheckpointConfig(**checkpoint)
     if checkpoint is not None and checkpoint.root is None and root is not None:
-        checkpoint = CheckpointConfig(
-            interval=checkpoint.interval,
-            root=root,
-            keep=checkpoint.keep,
-            keep_on_success=checkpoint.keep_on_success,
-            interrupt_after=checkpoint.interrupt_after,
-            background=checkpoint.background,
-        )
+        checkpoint = dataclasses.replace(checkpoint, root=root)
     ckpt, payload = Checkpointer.open(full_id, root=root, config=checkpoint)
     manifest = ckpt.manifest or {}
     config = manifest.get("config")

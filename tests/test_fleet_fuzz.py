@@ -1,4 +1,5 @@
-"""Generated differential test: fast fleet loop == reference loop.
+"""Generated differential tests: fast fleet loop == reference loop, and
+resumed run == uninterrupted run.
 
 Hypothesis draws whole fleet runs: a multiset of 2–5 zoo machines,
 ``max_corun`` 1–3, 1–10 jobs of 1–400 steps with tie-prone arrival
@@ -10,15 +11,23 @@ fleet-wide interference tracker, or stall with the same message.  Every
 run that does not stall must account for each offered job exactly once,
 as one completion, failure or rejection, on both loops.
 
+The resume test takes the same runs on either loop, snapshots every
+1–20 events, interrupts at a drawn point and resumes from the newest
+snapshot; digest and fleet tracker must equal the uninterrupted run's.
+
 Tier-1 runs a small derandomized profile.  ``make fuzz`` sets
 ``REPRO_FUZZ_EXAMPLES`` for a long randomized run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import tempfile
+from unittest import mock
 
-from hypothesis import HealthCheck, example, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from test_fleet_compression import (
     BASES,
@@ -38,6 +47,8 @@ from repro.fleet import (
     MachineCrash,
     generate_fault_plan,
 )
+from repro.resilience import checkpoint as checkpoint_module
+from repro.resilience.checkpoint import CheckpointConfig, Checkpointer, RunInterrupted
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0"))
 
@@ -137,8 +148,8 @@ DEAD_FLEET = dict(
 )
 
 
-def outcome(case, compressed):
-    sim = FleetSimulator(
+def simulator(case, compressed):
+    return FleetSimulator(
         case["machines"],
         policy=case["policy"],
         # The joined machines need solo times too.
@@ -148,6 +159,10 @@ def outcome(case, compressed):
         interference_threshold=case["interference_threshold"],
         compressed=compressed,
     )
+
+
+def outcome(case, compressed):
+    sim = simulator(case, compressed)
     try:
         result = sim.run(case["jobs"], prewarm=False, faults=case["faults"])
     except FleetStalled as stalled:
@@ -171,3 +186,44 @@ def outcome(case, compressed):
 @example(case=DEAD_FLEET)
 def test_fast_loop_matches_reference(case):
     assert outcome(case, compressed=True) == outcome(case, compressed=False)
+
+
+@settings(
+    max_examples=FUZZ_EXAMPLES or 40,
+    derandomize=not FUZZ_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    case=fleet_runs(),
+    compressed=st.booleans(),
+    interval=st.integers(min_value=1, max_value=20),
+    interrupt=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_resumed_run_matches_uninterrupted(case, compressed, interval, interrupt):
+    def run(sim, **kw):
+        return sim.run(case["jobs"], prewarm=False, faults=case["faults"], **kw)
+
+    baseline = simulator(case, compressed)
+    try:
+        result = run(baseline)
+    except FleetStalled:
+        assume(False)
+    want = (deterministic_dict(result), baseline.tracker.snapshot())
+    # ``interrupt`` < 1, so the run stops before its last event.
+    interrupt_after = int(result.events_processed * interrupt)
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(
+        checkpoint_module, "_CAN_FORK", False
+    ):
+        config = CheckpointConfig(interval=interval, root=root)
+        with pytest.raises(RunInterrupted):
+            run(
+                simulator(case, compressed),
+                checkpoint=dataclasses.replace(config, interrupt_after=interrupt_after),
+                run_id="fuzz",
+                manifest={},
+            )
+        checkpointer, payload = Checkpointer.open("fuzz", config=config)
+        resumed = simulator(case, compressed)
+        result = run(resumed, checkpoint=checkpointer, resume_from=payload)
+    assert (deterministic_dict(result), resumed.tracker.snapshot()) == want

@@ -1,13 +1,16 @@
 """Unit tests for repro.resilience.checkpoint: snapshot write/read,
-incremental row segments, retention, fallback, and signal handling."""
+self-contained snapshots, retention, fallback, the forked writer, and
+signal handling."""
 
 import os
 import pickle
+import shutil
 import signal
 import threading
 
 import pytest
 
+from repro.resilience import checkpoint as checkpoint_module
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointConfig,
@@ -23,9 +26,16 @@ from repro.resilience.checkpoint import (
 RUN = "abcd1234efgh5678"
 
 
+@pytest.fixture(autouse=True)
+def synchronous_writes(request, monkeypatch):
+    """Write snapshots in-process (a deterministic file layout), except
+    in the forked-writer tests."""
+    if request.cls is not TestBackgroundWriter:
+        monkeypatch.setattr(checkpoint_module, "_CAN_FORK", False)
+
+
 def make(tmp_path, **kw):
     kw.setdefault("root", tmp_path)
-    kw.setdefault("background", False)  # deterministic file layout
     return Checkpointer(RUN, CheckpointConfig(**kw), manifest={"config": {}})
 
 
@@ -72,31 +82,43 @@ class TestSaveAndOpen:
         assert payload["state"]["cursor"] == 25
         assert payload["state"]["placements"] == [("job", i) for i in range(25)]
         assert payload["state"]["completions"] == [("done", i) for i in range(12)]
-        # The continued sequence picks up seq, cursor and delta bases.
+        # The continued sequence picks up seq and the event cursor.
         assert opened.seq == 2
-        assert opened._rows_persisted == {"placements": 25, "completions": 12}
+        assert opened._last_events == 200
 
-    def test_rows_are_delta_segments(self, tmp_path):
-        ck = make(tmp_path)
-        ck.save(100, state_at(10))
-        ck.save(200, state_at(25))
-        directory = checkpoint_dir(RUN, tmp_path)
-        segments = sorted(directory.glob("rows-*.pkl"))
-        assert len(segments) == 2
-        second = pickle.loads(segments[1].read_bytes())
-        # Only the rows appended since the first save are re-serialised.
-        assert second["base"] == {"placements": 10, "completions": 5}
-        assert second["rows"]["placements"] == [("job", i) for i in range(10, 25)]
-
-    def test_prune_keeps_newest_snapshots_but_all_segments(self, tmp_path):
+    def test_prune_keeps_newest_snapshots(self, tmp_path):
         ck = make(tmp_path, keep=2)
         for n in range(1, 6):
             ck.save(n * 100, state_at(n * 4))
         directory = checkpoint_dir(RUN, tmp_path)
         snapshots = sorted(p.name for p in directory.glob("ck-*.pkl"))
         assert snapshots == ["ck-00000004.pkl", "ck-00000005.pkl"]
-        # Row segments are never pruned: together they hold each row once.
-        assert len(list(directory.glob("rows-*.pkl"))) == 5
+
+    def test_a_lost_save_does_not_strand_later_snapshots(self, tmp_path):
+        ck = make(tmp_path, keep=2)
+        directory = checkpoint_dir(RUN, tmp_path)
+        for n in range(1, 5):
+            ck.save(n * 100, state_at(n * 10))
+            if n == 2:
+                for path in directory.glob("*-00000002.pkl"):
+                    path.unlink()
+        _, payload = Checkpointer.open(RUN, root=tmp_path)
+        assert payload["seq"] == 4
+        assert payload["state"]["placements"] == [("job", i) for i in range(40)]
+
+    def test_newest_snapshot_alone_restores_the_full_state(self, tmp_path):
+        ck = make(tmp_path / "old", keep=3)
+        for n in range(1, 4):
+            ck.save(n * 100, state_at(n * 10))
+        source = checkpoint_dir(RUN, tmp_path / "old")
+        target = checkpoint_dir(RUN, tmp_path / "new")
+        target.mkdir(parents=True)
+        newest = sorted(source.glob("ck-*.pkl"))[-1]
+        for path in (source / "manifest.json", newest):
+            shutil.copy(path, target / path.name)
+        _, payload = Checkpointer.open(RUN, root=tmp_path / "new")
+        assert payload["events"] == 300
+        assert payload["state"] == state_at(30)
 
     def test_torn_newest_snapshot_falls_back(self, tmp_path):
         ck = make(tmp_path)
@@ -108,17 +130,6 @@ class TestSaveAndOpen:
         _, payload = Checkpointer.open(RUN, root=tmp_path)
         assert payload["events"] == 100
         assert payload["state"]["placements"] == [("job", i) for i in range(10)]
-
-    def test_torn_row_segment_falls_back_to_older_snapshot(self, tmp_path):
-        ck = make(tmp_path)
-        ck.save(100, state_at(10))
-        ck.save(200, state_at(25))
-        directory = checkpoint_dir(RUN, tmp_path)
-        # Rot the *second* delta: the newest snapshot's rows can no longer
-        # be spliced, but the first snapshot only needs the first segment.
-        sorted(directory.glob("rows-*.pkl"))[-1].write_bytes(b"rot")
-        _, payload = Checkpointer.open(RUN, root=tmp_path)
-        assert payload["events"] == 100
 
     def test_all_snapshots_torn_raises(self, tmp_path):
         ck = make(tmp_path)
@@ -133,10 +144,12 @@ class TestSaveAndOpen:
         path = ck.save(100, state_at(10))
         payload = pickle.loads(path.read_bytes())
         assert payload["version"] == CHECKPOINT_SCHEMA_VERSION
-        payload["version"] = CHECKPOINT_SCHEMA_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(CheckpointError):
-            Checkpointer.open(RUN, root=tmp_path)
+        # Version 3 kept its rows outside the snapshot file.
+        for version in (3, CHECKPOINT_SCHEMA_VERSION + 1):
+            payload["version"] = version
+            path.write_bytes(pickle.dumps(payload))
+            with pytest.raises(CheckpointError, match="incompatible"):
+                Checkpointer.open(RUN, root=tmp_path)
 
     def test_complete_removes_directory(self, tmp_path):
         ck = make(tmp_path)
@@ -155,38 +168,45 @@ class TestSaveAndOpen:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestBackgroundWriter:
     def test_forked_saves_land_and_round_trip(self, tmp_path):
-        ck = Checkpointer(
-            RUN,
-            CheckpointConfig(root=tmp_path, background=True),
-            manifest={"config": {}},
-        )
+        ck = make(tmp_path)
         ck.save(100, state_at(10))
+        assert ck._writer is not None
         ck.save(200, state_at(25))
-        ck._reap(block=True)
-        assert not ck._children
+        ck._join_writer()
+        assert ck._writer is None
         _, payload = Checkpointer.open(RUN, root=tmp_path)
         assert payload["events"] == 200
         assert payload["state"]["placements"] == [("job", i) for i in range(25)]
 
     def test_final_save_is_synchronous(self, tmp_path):
-        ck = Checkpointer(
-            RUN,
-            CheckpointConfig(root=tmp_path, background=True),
-            manifest={"config": {}},
-        )
-        path = ck.save(100, state_at(10), wait=True)
-        # No in-flight writers, and the snapshot is durably readable now.
-        assert not ck._children
-        assert pickle.loads(path.read_bytes())["events"] == 100
+        ck = make(tmp_path)
+        ck.save(100, state_at(10))
+        path = ck.save(200, state_at(20), wait=True)
+        # No writer in flight, and the snapshot is durably readable now.
+        assert ck._writer is None
+        assert pickle.loads(path.read_bytes())["events"] == 200
+
+    def test_at_most_one_writer_in_flight(self, tmp_path):
+        ck = make(tmp_path, keep=5)
+        writers = []
+        for n in range(1, 6):
+            ck.save(n * 100, state_at(n * 10))
+            writers.append(ck._writer)
+        assert len(set(writers)) == 5
+        # Each save waited for its predecessor: only the newest writer
+        # can still be running, every earlier one is already reaped.
+        for pid in writers[:-1]:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        ck.complete()
+        assert ck._writer is None
 
 
 class TestResolution:
     def test_listing_and_prefix_resolution(self, tmp_path):
         make(tmp_path).save(1, state_at(1))
         other = "zzzz9999aaaa0000"
-        Checkpointer(
-            other, CheckpointConfig(root=tmp_path, background=False)
-        ).save(1, state_at(1))
+        Checkpointer(other, CheckpointConfig(root=tmp_path)).save(1, state_at(1))
         assert set(list_checkpoint_runs(tmp_path)) == {RUN, other}
         assert resolve_checkpoint_run(RUN[:6], tmp_path) == RUN
         with pytest.raises(KeyError):
@@ -197,9 +217,7 @@ class TestResolution:
     def test_ambiguous_prefix(self, tmp_path):
         twin = RUN[:8] + "deadbeef"
         for run in (RUN, twin):
-            Checkpointer(
-                run, CheckpointConfig(root=tmp_path, background=False)
-            ).save(1, state_at(1))
+            Checkpointer(run, CheckpointConfig(root=tmp_path)).save(1, state_at(1))
         with pytest.raises(KeyError, match="ambiguous"):
             resolve_checkpoint_run(RUN[:6], tmp_path)
 

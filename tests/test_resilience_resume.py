@@ -206,7 +206,6 @@ def test_resume_restores_the_fleet_tracker(tmp_path, interrupt_fraction):
     config = CheckpointConfig(
         interval=5,
         root=tmp_path,
-        background=False,
         interrupt_after=int(result.events_processed * interrupt_fraction),
     )
     with pytest.raises(RunInterrupted):
@@ -214,7 +213,7 @@ def test_resume_restores_the_fleet_tracker(tmp_path, interrupt_fraction):
             jobs, prewarm=False, checkpoint=config, run_id="tracker", manifest={}
         )
     checkpointer, payload = Checkpointer.open(
-        "tracker", config=CheckpointConfig(interval=5, root=tmp_path, background=False)
+        "tracker", config=CheckpointConfig(interval=5, root=tmp_path)
     )
     resumed = simulator()
     result = resumed.run(
