@@ -10,9 +10,10 @@ help:
 	@echo "make test        - run the tier-1 test suite"
 	@echo "make fuzz        - generated differential tests: fast vs reference"
 	@echo "                   fleet loop, resumed vs uninterrupted fleet run,"
-	@echo "                   screened vs per-position tree split search,"
-	@echo "                   memoised vs reference Strategy-3 ranking"
-	@echo "                   (FUZZ_EXAMPLES random runs each, default 3000)"
+	@echo "                   grouped vs per-machine placement on states and"
+	@echo "                   state sequences, screened vs per-position tree"
+	@echo "                   split search, memoised vs reference Strategy-3"
+	@echo "                   ranking (FUZZ_EXAMPLES random runs each, default 3000)"
 	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
 	@echo "                   (equivalence + speedup gates), updates"
 	@echo "                   BENCH_simulator.json"
@@ -40,7 +41,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 fuzz:
-	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py tests/test_mlkit_split.py tests/test_hill_climbing_predict.py
+	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py tests/test_fleet_placement.py tests/test_mlkit_split.py tests/test_hill_climbing_predict.py
 
 bench:
 	$(PYTHON) -m benchmarks

@@ -139,6 +139,10 @@ class StandaloneRunner:
         base = self._total(self._characterize(op), threads, affinity)
         if self.noise_sigma == 0.0:
             return base * repeats
+        if repeats == 1:
+            # The scalar draw gives the one-element array draw's float and
+            # leaves the generator in the same state, at a third the cost.
+            return base * self._rng.lognormal(0.0, self.noise_sigma)
         factors = self._rng.lognormal(mean=0.0, sigma=self.noise_sigma, size=repeats)
         return float(base * factors.sum())
 

@@ -23,6 +23,9 @@ up:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from itertools import compress, count
+from operator import is_not, itemgetter
 from typing import Callable, Protocol
 
 from repro.core.interference import InterferenceTracker
@@ -123,18 +126,25 @@ class InterferenceAwarePolicy:
     member multiset (estimates are canonical), so machines with the same
     hardware and the same :attr:`~repro.fleet.state.MachineView.load`
     differ only in ``ready``, and ``+`` and ``*`` are monotone in it.
-    Once per :class:`~repro.fleet.state.FleetState`, the policy groups the
-    accepting machines by ``(hardware, load)``; a group is scored once
-    per job class ``(kind, graph_seed, num_steps, workload)`` from its
-    least ``(ready, index)`` machine (a larger ``ready`` whose cost rounds
-    to the same float is checked for a lower index, so the tie rule is
-    exactly the machine-by-machine one), and only a full group's
-    least-``ready`` machine can make the job wait.  Drain and wait parts
-    are memoised per ``(hardware, load, job class)`` for the run, whole
-    decisions per ``(state, job class)`` until the tracker's blacklist
-    changes — the simulator passes one state object to every ``place``
-    call of a dispatch pass until a placement happens, so a queue full
-    of repeated job classes costs one decision per class.
+    The policy keeps the accepting machines grouped by ``(hardware,
+    load)`` from one :class:`~repro.fleet.state.FleetState` to the next,
+    each group's open and full machines sorted by ``(busy_until,
+    index)``; a new state moves only the machines whose view object
+    changed (the simulator reuses an untouched machine's view).  ``ready``
+    never decreases as ``busy_until`` grows, so a group's equal-cost
+    machines are a prefix of that order.  Once per state each open group
+    lists its distinct ``ready`` values in that order, each with its
+    lowest index; it is scored once per job class ``(kind, graph_seed,
+    num_steps, workload)`` from its least ``ready``, and a larger
+    ``ready`` whose cost rounds to the same float is checked for a lower
+    index, so the tie rule is exactly the machine-by-machine one.  Only a
+    full group's least-``busy_until`` machine can make the job wait, and
+    full groups are checked in order of their lowest machine index.
+    Drain and wait parts are memoised per ``(hardware, load, job class)``
+    for the run, whole decisions per ``(state, job class)`` until the
+    tracker's blacklist changes — the simulator passes one state object
+    to every ``place`` call of a dispatch pass until a placement happens,
+    so a queue full of repeated job classes costs one decision per class.
     """
 
     name = "interference-aware"
@@ -163,15 +173,25 @@ class InterferenceAwarePolicy:
         self.clear_memo()
 
     def clear_memo(self) -> None:
-        """Drop every memo (called at each simulation start, so per-run
-        estimator traffic stays reproducible)."""
-        #: Every (hardware, load) of the run, with its memoised costs.
+        """Drop every memo and group (called at each simulation start, so
+        per-run estimator traffic stays reproducible)."""
+        #: Every (hardware, load) of the run, with its memoised costs and
+        #: its machines in the last state seen.
         self._loads: dict[tuple, _Load] = {}
         #: Job classes of the run, numbered (cheap memo keys).
         self._classes: dict[tuple, int] = {}
-        #: The state the groups and decisions below belong to.
+        #: The last state seen, its machine views and, per machine index,
+        #: where the machine sits: ``(group, open, (busy_until, index))``,
+        #: or None outside every group.
         self._state: FleetState | None = None
-        self._groups: tuple = ((), (), None)
+        self._views: tuple[MachineView, ...] = ()
+        self._slots: list[tuple[_Load, bool, tuple[float, int]] | None] = []
+        #: Groups holding an open machine, and groups holding a full one
+        #: with their lowest full machine index.
+        self._open: dict[_Load, None] = {}
+        self._full: dict[_Load, int] = {}
+        #: The last state's scoring lists (see _regroup).
+        self._groups: tuple = ((), ())
         self._decisions: dict[tuple, str | None] = {}
         self._decided_at = -1
 
@@ -209,61 +229,89 @@ class InterferenceAwarePolicy:
             self._drain(load.hardware, survivors),
         )
 
-    def _group(self, fleet: FleetState) -> tuple:
-        """Group ``fleet``'s accepting machines by ``(hardware, load)``.
+    def _regroup(self, fleet: FleetState) -> None:
+        """Move the groups from the last state seen to ``fleet``.
 
-        Returns ``(open, full, emptiest)``.  ``open`` lists, per group with
-        free slots in first-index order, its :class:`_Load` and its
-        distinct ``ready`` values ascending, each with its lowest machine
-        index.  ``full`` lists, per group of full machines, its
-        :class:`_Load` and least ``ready`` — a draining box's slots open
-        for nobody, so a non-accepting machine is never waited on
-        (declining for one forever would stall the fleet).  ``emptiest``
-        is the open machine with the fewest members, lowest index first.
+        Only machines whose view object changed, or that joined, move: a
+        view is immutable, so an unchanged one holds the same load, slots
+        and ``busy_until``.  Then ``_groups`` becomes ``(open, full)`` for
+        ``fleet.time``.  ``open`` lists, per group with an open machine,
+        its :class:`_Load` and its distinct ``ready`` values ascending,
+        each with its lowest machine index.  ``full`` lists, per group of
+        full machines in order of its lowest machine index, its
+        :class:`_Load` and least ``ready``.
         """
+        views = fleet.machines
+        old = self._views
+        moved = [*compress(count(), map(is_not, old, views))]
+        moved += range(min(len(old), len(views)), max(len(old), len(views)))
+        slots = self._slots
+        slots += [None] * (len(views) - len(slots))
+        for index in moved:
+            if slots[index] is not None:
+                self._leave(index, *slots[index])
+            if index < len(views):
+                slots[index] = self._enter(index, views[index])
+        del slots[len(views):]
+        self._views = views
+        # ``ready`` is ``max(0.0, busy_until - now)``, without the call:
+        # ``busy_until - now`` is positive exactly when busy_until > now.
         now = fleet.time
-        loads = self._loads
-        open_groups: dict[_Load, list[tuple[float, int]]] = {}
-        full_groups: dict[_Load, float] = {}
-        emptiest: tuple[int, str] | None = None
-        for index, view in enumerate(fleet.machines):
-            if not view.accepting:
-                continue
-            key = (view.machine_name, view.load)
-            load = loads.get(key)
-            if load is None:
-                load = loads[key] = _Load(view)
-            ready = max(0.0, view.busy_until - now)
-            if view.free_slots > 0:
-                size = len(view.load)
-                if emptiest is None or size < emptiest[0]:
-                    emptiest = (size, view.machine_id)
-                readies = open_groups.get(load)
-                if readies is None:
-                    open_groups[load] = [(ready, index)]
-                else:
+        open_groups = []
+        for load in self._open:
+            readies = []
+            for busy_until, index in load.open:
+                ready = busy_until - now if busy_until > now else 0.0
+                if not readies or ready != readies[-1][0]:
                     readies.append((ready, index))
-            elif view.load:
-                least = full_groups.get(load)
-                if least is None or ready < least:
-                    full_groups[load] = ready
-        open_list = []
-        for load, readies in open_groups.items():
-            readies.sort()
-            distinct = [readies[0]]
-            for entry in readies[1:]:
-                if entry[0] != distinct[-1][0]:
-                    distinct.append(entry)
-            open_list.append((load, distinct))
-        return (
-            open_list,
-            list(full_groups.items()),
-            emptiest[1] if emptiest is not None else None,
-        )
+                elif index < readies[-1][1]:
+                    readies[-1] = (ready, index)
+            open_groups.append((load, readies))
+        full_groups = []
+        for load, _ in sorted(self._full.items(), key=itemgetter(1)):
+            busy_until = load.full[0][0]
+            full_groups.append((load, busy_until - now if busy_until > now else 0.0))
+        self._groups = (open_groups, full_groups)
+
+    def _enter(self, index: int, view: MachineView) -> tuple | None:
+        """Put machine ``index`` into the group of ``view``; return its
+        slot, or None outside every group.
+
+        A draining box's slots open for nobody, so a non-accepting machine
+        is in no group: it is never placed on nor waited for (declining
+        for one forever would stall the fleet)."""
+        if not view.accepting:
+            return None
+        is_open = view.free_slots > 0
+        if not is_open and not view.load:
+            return None
+        key = (view.machine_name, view.load)
+        load = self._loads.get(key)
+        if load is None:
+            load = self._loads[key] = _Load(view)
+        entry = (view.busy_until, index)
+        if is_open:
+            insort(load.open, entry)
+            self._open[load] = None
+        else:
+            insort(load.full, entry)
+            lowest = self._full.get(load)
+            if lowest is None or index < lowest:
+                self._full[load] = index
+        return load, is_open, entry
+
+    def _leave(self, index: int, load: _Load, is_open: bool, entry: tuple) -> None:
+        """Take machine ``index`` out of ``load``'s group."""
+        machines = load.open if is_open else load.full
+        del machines[bisect_left(machines, entry)]
+        if not machines:
+            del (self._open if is_open else self._full)[load]
+        elif not is_open and self._full[load] == index:
+            self._full[load] = min(other for _, other in machines)
 
     def place(self, job: Job, fleet: FleetState) -> str | None:
         if fleet is not self._state:
-            self._groups = self._group(fleet)
+            self._regroup(fleet)
             self._state = fleet
             self._decisions = {}
             self._decided_at = self.tracker.changes
@@ -278,7 +326,7 @@ class InterferenceAwarePolicy:
             return choice
 
     def _decide(self, job: Job, job_class: tuple) -> str | None:
-        open_groups, full_groups, emptiest = self._groups
+        open_groups, full_groups = self._groups
         if not open_groups:
             return None
         number = self._classes.setdefault(job_class, len(self._classes))
@@ -305,8 +353,13 @@ class InterferenceAwarePolicy:
                 best = (cost, index)
         if best is None:
             # Every open machine pairs badly: fall back to the emptiest one
-            # rather than queueing the job forever.
-            return emptiest
+            # (fewest members, lowest index) rather than queueing the job
+            # forever.
+            _, index = min(
+                (len(load.members), min(index for _, index in readies))
+                for load, readies in open_groups
+            )
+            return self._state.machines[index].machine_id
         # Placing now is not always right.  When every open machine is a
         # bad fit — say an idle thermally-limited laptop while a fast box
         # drains its last rounds — it can be cheaper to stay queued and
@@ -325,9 +378,11 @@ class InterferenceAwarePolicy:
 
 class _Load:
     """One ``(hardware, load)`` of a run: the members of a machine holding
-    it, and its memoised join drains and wait parts by job-class number."""
+    it, its memoised join drains and wait parts by job-class number, and
+    its open and full accepting machines in the last state seen, as
+    ``(busy_until, index)`` ascending."""
 
-    __slots__ = ("hardware", "members", "kinds", "joins", "waits")
+    __slots__ = ("hardware", "members", "kinds", "joins", "waits", "open", "full")
 
     def __init__(self, view: MachineView) -> None:
         self.hardware = view.machine_name
@@ -337,6 +392,8 @@ class _Load:
         self.kinds = view.member_kinds
         self.joins: dict[int, float] = {}
         self.waits: dict[int, tuple[float, float]] = {}
+        self.open: list[tuple[float, int]] = []
+        self.full: list[tuple[float, int]] = []
 
 
 #: Policy factories by CLI name.  Each takes the simulator's shared

@@ -118,7 +118,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, islice, repeat
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.config import RuntimeConfig
@@ -662,6 +662,10 @@ _ROUND_END = 0
 _FAULT = 1
 _EXPIRE = 2
 _ARRIVAL = 3
+
+#: A view's open slots: never negative, and 0 on a machine that is not
+#: accepting, so ``any`` over a state's views asks "can a job be placed?".
+_free_slots = attrgetter("free_slots")
 
 
 def _window_rounds(rounds: int, per_round: int, maxlen: int | None) -> int:
@@ -1923,10 +1927,14 @@ class FleetSimulator:
             # A decline changes nothing a policy can see, so one state
             # serves the pass until a placement (the reference loop
             # builds one per job, which the equivalence suite compares).
+            # A state without a free slot ends the pass: any answer but
+            # None would raise below, so no policy can place a job.
             state = None
             for job in list(pending.values()):
                 if state is None:
                     state = fleet_state()
+                    if not any(map(_free_slots, state.machines)):
+                        return
                 tick = _time.perf_counter()
                 choice = self.policy.place(job, state)
                 overhead += _time.perf_counter() - tick

@@ -69,6 +69,22 @@ class TestStandaloneTotals:
         assert default == _expected_runs(knl, default_registry().estimate, ops, 0.05, 1, 3)
         assert custom != default
 
+    def test_single_run_draws_the_array_draws_noise(self, knl):
+        # One run draws a scalar: the float and the generator state after
+        # it must be those of the one-element array draw it replaces.
+        op = make_conv_op()
+        base = execution_time(characterize(op), knl, 4, H).total
+        for seed in range(20):
+            for sigma in (0.01, 0.05, 0.3):
+                runner = StandaloneRunner(knl, noise_sigma=sigma, seed=seed)
+                rng = make_rng(seed)
+                for _ in range(10):
+                    factors = rng.lognormal(mean=0.0, sigma=sigma, size=1)
+                    measured = runner.run(op, 4, H)
+                    assert type(measured) is float
+                    assert measured == float(base * factors.sum())
+                assert runner._rng.bit_generator.state == rng.bit_generator.state
+
     def test_cleared_with_the_execution_time_cache(self, knl, monkeypatch):
         computed = []
 

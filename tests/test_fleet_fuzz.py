@@ -4,14 +4,17 @@ resumed run == uninterrupted run.
 Hypothesis draws whole fleet runs: a multiset of 2–5 zoo machines,
 ``max_corun`` 1–3, 1–10 jobs of 1–400 steps with tie-prone arrival
 gaps, an optional admission controller, an optional seeded fault plan
-(crashes, stragglers, preemptions, mid-trace joins) and a blacklist
-threshold.  Both loops run it with an estimator whose co-run slowdowns
-differ per machine, and must agree on the digest and on the full
-fleet-wide interference tracker, or stall with the same message.  Every
-run that does not stall must account for each offered job exactly once,
-as one completion, failure or rejection, on both loops.
+(crashes at rates up to 1, stragglers, preemptions, mid-trace joins,
+1–3 attempts per job) and a blacklist threshold.  Both loops run it
+with an estimator whose co-run slowdowns differ per machine, and must
+agree on the digest and on the full fleet-wide interference tracker, or
+stall with the same message.  On the reference loop the
+interference-aware policy is the machine-by-machine oracle
+(tests/reference_placement.py).  Every run that does not stall must
+account for each offered job exactly once, as one completion, failure
+or rejection, on both loops.
 
-The resume test takes the same runs on either loop, snapshots every
+The resume test takes the same runs on both loops, snapshots every
 1–20 events, interrupts at a drawn point and resumes from the newest
 snapshot; digest and fleet tracker must equal the uninterrupted run's.
 
@@ -29,6 +32,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from reference_placement import ReferenceInterferenceAwarePolicy
 from test_fleet_compression import (
     BASES,
     SYN_A,
@@ -55,6 +59,9 @@ FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0"))
 ZOO = tuple(BASES)
 POLICIES = ("first-fit", "load-balanced", "interference-aware")
 RATES = (0.0, 0.3, 0.8)
+#: Every machine crashing, with as few as one attempt per job, fails
+#: jobs before some snapshots, so resumes restore failures and attempts.
+CRASH_RATES = (*RATES, 1.0)
 
 #: Half-second gaps let arrivals tie with round boundaries; free floats
 #: cover everything else.
@@ -111,11 +118,12 @@ def fleet_runs(draw):
             [f"m{index}" for index in range(len(machines))],
             horizon=arrival + draw(st.floats(min_value=1.0, max_value=2000.0)),
             seed=draw(st.integers(min_value=0, max_value=2**16)),
-            crash_rate=draw(st.sampled_from(RATES)),
+            crash_rate=draw(st.sampled_from(CRASH_RATES)),
             straggler_rate=draw(st.sampled_from(RATES)),
             preempt_rate=draw(st.sampled_from(RATES)),
             job_names=[job.name for job in jobs],
             join_machines=draw(st.lists(st.sampled_from(ZOO), max_size=2)),
+            max_retries=draw(st.integers(min_value=1, max_value=3)),
         )
     return dict(
         machines=machines,
@@ -163,6 +171,8 @@ def simulator(case, compressed):
 
 def outcome(case, compressed):
     sim = simulator(case, compressed)
+    if not compressed and case["policy"] == "interference-aware":
+        sim.policy = ReferenceInterferenceAwarePolicy(sim.estimator, sim.tracker)
     try:
         result = sim.run(case["jobs"], prewarm=False, faults=case["faults"])
     except FleetStalled as stalled:
@@ -196,11 +206,16 @@ def test_fast_loop_matches_reference(case):
 )
 @given(
     case=fleet_runs(),
-    compressed=st.booleans(),
     interval=st.integers(min_value=1, max_value=20),
     interrupt=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
-def test_resumed_run_matches_uninterrupted(case, compressed, interval, interrupt):
+def test_resumed_run_matches_uninterrupted(case, interval, interrupt):
+    # Each loop restores its own state, so both resume every case.
+    for compressed in (False, True):
+        resume_matches_uninterrupted(case, compressed, interval, interrupt)
+
+
+def resume_matches_uninterrupted(case, compressed, interval, interrupt):
     def run(sim, **kw):
         return sim.run(case["jobs"], prewarm=False, faults=case["faults"], **kw)
 
