@@ -9,11 +9,14 @@ FUZZ_EXAMPLES ?= 3000
 help:
 	@echo "make test        - run the tier-1 test suite"
 	@echo "make fuzz        - generated differential tests: fast vs reference"
-	@echo "                   fleet loop, resumed vs uninterrupted fleet run,"
-	@echo "                   grouped vs per-machine placement on states and"
-	@echo "                   state sequences, screened vs per-position tree"
-	@echo "                   split search, memoised vs reference Strategy-3"
-	@echo "                   ranking (FUZZ_EXAMPLES random runs each, default 3000)"
+	@echo "                   fleet loop, streamed vs materialised arrivals,"
+	@echo "                   resumed vs uninterrupted fleet run, numpy vs"
+	@echo "                   Python segment sums, grouped vs per-machine"
+	@echo "                   placement on states and state sequences, screened"
+	@echo "                   vs per-position tree split search, memoised vs"
+	@echo "                   reference Strategy-3 ranking, run-record encoding"
+	@echo "                   vs the full type walk (FUZZ_EXAMPLES random runs"
+	@echo "                   each, default 3000)"
 	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
 	@echo "                   (equivalence + speedup gates), updates"
 	@echo "                   BENCH_simulator.json"
@@ -41,7 +44,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 fuzz:
-	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py tests/test_fleet_placement.py tests/test_mlkit_split.py tests/test_hill_climbing_predict.py
+	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py tests/test_fleet_accumulate.py tests/test_fleet_placement.py tests/test_mlkit_split.py tests/test_hill_climbing_predict.py tests/test_store_jsonify.py
 
 bench:
 	$(PYTHON) -m benchmarks

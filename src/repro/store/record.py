@@ -44,6 +44,10 @@ class RecordingError(TypeError):
     """A value has no stable JSON encoding for a run record."""
 
 
+#: Types :func:`jsonify` returns unchanged when a value is exactly one.
+_JSON_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def jsonify(value: Any) -> Any:
     """Coerce ``value`` into JSON-ready primitives, strictly.
 
@@ -53,8 +57,19 @@ def jsonify(value: Any) -> Any:
     ``float`` via the :mod:`numbers` ABCs (``np.int64`` is *not* an
     ``int`` subclass).  Anything without a stable encoding raises
     :class:`RecordingError` rather than storing a lossy ``repr``.
+
+    The JSON types themselves (exactly, not subclasses) skip the walk:
+    a fleet payload holds hundreds of thousands of floats, and each
+    pass through the :mod:`numbers` ABC checks costs microseconds.
     """
-    if value is None or isinstance(value, (bool, str)):
+    cls = type(value)
+    if cls in _JSON_SCALARS:
+        return value
+    if cls is list or cls is tuple:
+        return [jsonify(item) for item in value]
+    if cls is dict:
+        return _jsonify_mapping(value)
+    if isinstance(value, str):  # a str subclass
         return value
     if isinstance(value, numbers.Integral):
         return int(value)
@@ -76,13 +91,17 @@ def jsonify(value: Any) -> Any:
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
         return [jsonify(item) for item in items]
     if isinstance(value, Mapping):
-        out = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise RecordingError(f"mapping key {key!r} is not a string")
-            out[key] = jsonify(item)
-        return out
+        return _jsonify_mapping(value)
     raise RecordingError(f"no JSON encoding for {type(value).__qualname__}: {value!r}")
+
+
+def _jsonify_mapping(value: Mapping) -> dict:
+    out = {}
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise RecordingError(f"mapping key {key!r} is not a string")
+        out[key] = jsonify(item)
+    return out
 
 
 def payload_digest(payload: Mapping, *, excludes: tuple[str, ...] = ()) -> str:

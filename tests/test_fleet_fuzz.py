@@ -1,5 +1,6 @@
-"""Generated differential tests: fast fleet loop == reference loop, and
-resumed run == uninterrupted run.
+"""Generated differential tests: fast fleet loop == reference loop,
+streamed arrivals == their materialised trace, and resumed run ==
+uninterrupted run.
 
 Hypothesis draws whole fleet runs: a multiset of 2–5 zoo machines,
 ``max_corun`` 1–3, 1–10 jobs of 1–400 steps with tie-prone arrival
@@ -13,6 +14,11 @@ interference-aware policy is the machine-by-machine oracle
 (tests/reference_placement.py).  Every run that does not stall must
 account for each offered job exactly once, as one completion, failure
 or rejection, on both loops.
+
+The streamed test draws an arrival process instead of a trace (Poisson,
+diurnal or bursty, 1–30 jobs, with the same machines, faults, policies
+and admission): on each loop, pulling it lazily must give the same
+digest and fleet tracker as replaying ``process.materialize()``.
 
 The resume test takes the same runs on both loops, snapshots every
 1–20 events, interrupts at a drawn point and resumes from the newest
@@ -44,11 +50,15 @@ from test_fleet_compression import (
 
 from repro.fleet import (
     AdmissionController,
+    ArrivalProcess,
+    BurstyArrivals,
+    DiurnalArrivals,
     FaultPlan,
     FleetSimulator,
     FleetStalled,
     Job,
     MachineCrash,
+    PoissonArrivals,
     generate_fault_plan,
 )
 from repro.resilience import checkpoint as checkpoint_module
@@ -112,11 +122,25 @@ def fleet_runs(draw):
                 arrival_time=arrival,
             )
         )
+    return fleet_case(draw, machines, jobs)
+
+
+def trace_of(source):
+    """The jobs of a case's trace or arrival process."""
+    return source.materialize() if isinstance(source, ArrivalProcess) else source
+
+
+def fleet_case(draw, machines, source):
+    """A run of ``source`` (a trace or an arrival process) on
+    ``machines``, with a drawn fault plan, policy, slot count, admission
+    controller and blacklist threshold."""
+    jobs = trace_of(source)
     faults = None
     if draw(st.booleans()):
         faults = generate_fault_plan(
             [f"m{index}" for index in range(len(machines))],
-            horizon=arrival + draw(st.floats(min_value=1.0, max_value=2000.0)),
+            horizon=jobs[-1].arrival_time
+            + draw(st.floats(min_value=1.0, max_value=2000.0)),
             seed=draw(st.integers(min_value=0, max_value=2**16)),
             crash_rate=draw(st.sampled_from(CRASH_RATES)),
             straggler_rate=draw(st.sampled_from(RATES)),
@@ -127,13 +151,39 @@ def fleet_runs(draw):
         )
     return dict(
         machines=machines,
-        jobs=jobs,
+        jobs=source,
         faults=faults,
         policy=draw(st.sampled_from(POLICIES)),
         max_corun=draw(st.integers(min_value=1, max_value=3)),
         admission=draw(st.none() | admission_controllers()),
         interference_threshold=draw(st.sampled_from((0.3, 0.75, 5.0))),
     )
+
+
+@st.composite
+def streamed_runs(draw):
+    """A fleet run fed by a drawn arrival process of 1-30 jobs."""
+    machines = draw(st.lists(st.sampled_from(ZOO), min_size=2, max_size=5))
+    common = dict(
+        num_jobs=draw(st.integers(min_value=1, max_value=30)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        mean_interarrival=draw(st.sampled_from((0.5, 5.0, 40.0))),
+        workloads=(SYN_A, SYN_B, SYN_C),
+        min_steps=1,
+        max_steps=draw(st.sampled_from((4, 60, 400))),
+    )
+    kind = draw(st.sampled_from((PoissonArrivals, DiurnalArrivals, BurstyArrivals)))
+    if kind is DiurnalArrivals:
+        common.update(
+            period=draw(st.floats(min_value=10.0, max_value=500.0)),
+            amplitude=draw(st.floats(min_value=0.0, max_value=0.95)),
+        )
+    elif kind is BurstyArrivals:
+        common.update(
+            burst_size=draw(st.integers(min_value=1, max_value=6)),
+            tail_alpha=draw(st.floats(min_value=0.8, max_value=3.0)),
+        )
+    return fleet_case(draw, machines, kind(**common))
 
 
 #: Shrunk counterexample: both machines crash, so the dead fleet fails
@@ -182,7 +232,7 @@ def outcome(case, compressed):
         for records in (result.completions, result.failures, result.rejections)
         for record in records
     )
-    assert accounted == sorted(job.name for job in case["jobs"]), compressed
+    assert accounted == sorted(job.name for job in trace_of(case["jobs"])), compressed
     return (deterministic_dict(result), sim.tracker.snapshot())
 
 
@@ -196,6 +246,19 @@ def outcome(case, compressed):
 @example(case=DEAD_FLEET)
 def test_fast_loop_matches_reference(case):
     assert outcome(case, compressed=True) == outcome(case, compressed=False)
+
+
+@settings(
+    max_examples=FUZZ_EXAMPLES or 60,
+    derandomize=not FUZZ_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=streamed_runs())
+def test_streamed_run_matches_materialised(case):
+    trace = dict(case, jobs=trace_of(case["jobs"]))
+    for compressed in (False, True):
+        assert outcome(case, compressed) == outcome(trace, compressed)
 
 
 @settings(

@@ -2,21 +2,27 @@
 store digest byte-identical to its uninterrupted twin — across loop
 modes, policies, faults and admission, including chained interrupts."""
 
+import dataclasses
 import json
 import pickle
+from unittest import mock
 
 import pytest
 
 from test_fleet_compression import (
     MACHINES,
+    SYN_A,
+    SYN_B,
+    SYN_C,
     calendar_trace,
     deterministic_dict,
     machine_pair_estimator,
 )
 
 from repro.api import run_fleet
-from repro.fleet import FleetSimulator
+from repro.fleet import FleetSimulator, Job
 from repro.resilience import RunInterrupted, list_checkpoint_runs
+from repro.resilience import checkpoint as checkpoint_module
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -220,6 +226,67 @@ def test_resume_restores_the_fleet_tracker(tmp_path, interrupt_fraction):
         jobs, prewarm=False, checkpoint=checkpointer, resume_from=payload
     )
     assert (deterministic_dict(result), resumed.tracker.snapshot()) == want
+
+
+#: Two jobs co-run on m0 from t=1.0 in a 300-round segment of 1.95 s
+#: rounds (a float the running sums round); later arrivals sync the
+#: fleet, so the segment is flushed piecewise before and after a resume.
+CORUN_MACHINES = ["desktop-8c", "laptop-4c"]
+CORUN_JOBS = [
+    Job(name="j0", workload=SYN_A, num_steps=400, arrival_time=0.0),
+    Job(name="j1", workload=SYN_B, num_steps=300, arrival_time=0.0),
+    Job(name="j2", workload=SYN_C, num_steps=200, arrival_time=40.3),
+    Job(name="j3", workload=SYN_A, num_steps=150, arrival_time=95.1),
+    Job(name="j4", workload=SYN_B, num_steps=100, arrival_time=170.7),
+]
+
+
+@pytest.mark.parametrize("interrupt_after", [4, 5, 6])
+def test_resume_mid_corun_segment_keeps_busy_time_bits(tmp_path, interrupt_after):
+    """A snapshot taken while a co-run machine is rounds into a
+    multi-round segment carries that segment's busy-time sums: the
+    resumed run's per-machine ``busy_time`` and ``utilization`` equal,
+    bit for bit, the uninterrupted run's and the reference loop's."""
+
+    def simulator(compressed=True):
+        return FleetSimulator(
+            CORUN_MACHINES,
+            policy="first-fit",
+            estimator=machine_pair_estimator(CORUN_MACHINES),
+            max_corun=2,
+            compressed=compressed,
+        )
+
+    def bits(result):
+        return [
+            (m.busy_time.hex(), m.utilization.hex()) for m in result.machine_reports
+        ]
+
+    reference = simulator(compressed=False).run(CORUN_JOBS, prewarm=False)
+    baseline = simulator().run(CORUN_JOBS, prewarm=False)
+    config = CheckpointConfig(interval=1, root=tmp_path)
+    with mock.patch.object(checkpoint_module, "_CAN_FORK", False):
+        with pytest.raises(RunInterrupted):
+            simulator().run(
+                CORUN_JOBS,
+                prewarm=False,
+                checkpoint=dataclasses.replace(config, interrupt_after=interrupt_after),
+                run_id="corun",
+                manifest={},
+            )
+        checkpointer, payload = Checkpointer.open("corun", config=config)
+        assert any(
+            len(m.residents) > 1
+            and m.seg_rounds_left > 1
+            and len(m.seg_bounds) - m.seg_rounds_left >= 3
+            for m in payload["state"]["machines"]
+        )
+        resumed = simulator().run(
+            CORUN_JOBS, prewarm=False, checkpoint=checkpointer, resume_from=payload
+        )
+    assert bits(resumed) == bits(baseline) == bits(reference)
+    assert deterministic_dict(resumed) == deterministic_dict(baseline)
+    assert deterministic_dict(baseline) == deterministic_dict(reference)
 
 
 def test_double_interrupt_chained_resume(tmp_path):
