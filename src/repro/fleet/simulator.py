@@ -31,12 +31,12 @@ with a single heap event at the segment's end, and flushes the
 intermediate round boundaries lazily, each machine's due ones in one
 step:
 
-* a segment's boundaries, and the machine's ``busy_time`` after each of
-  its rounds, are accumulated once at its start, each by one sequential
-  ``np.add.accumulate`` (a Python fold below 32 rounds): one
-  ``+ round_time`` per round, in order, exactly as the reference loop's
-  per-event updates do — every boundary, completion time and
-  utilisation figure is **bit-identical**;
+* a segment's boundaries are accumulated once at its start, and
+  ``busy_time`` once per flush, each by one sequential
+  ``np.add.accumulate``: one ``+ round_time`` per round, in order,
+  exactly as the reference loop's per-event updates do — every
+  boundary, completion time and utilisation figure is
+  **bit-identical**;
 * a flush bisects for the due boundaries and moves counters and
   remaining steps in closed form.  Machine-local interference histories
   are extended at once.  Fleet-wide pair histories are shared, so each
@@ -117,7 +117,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -670,11 +670,6 @@ _ARRIVAL = 3
 _free_slots = attrgetter("free_slots")
 
 
-#: Segments shorter than this take the Python fold: below it a numpy
-#: call's fixed cost (about 2 µs) exceeds the fold's.
-_NUMPY_MIN_ROUNDS = 32
-
-
 def _accumulate_rounds(start: float, step: float, count: int) -> array:
     """``count`` floats ``start, start + step, (start + step) + step, ...``
     as an ``array('d')``.
@@ -684,13 +679,14 @@ def _accumulate_rounds(start: float, step: float, count: int) -> array:
     ``accumulate(repeat(step, count - 1), initial=start)`` and of the
     reference loop's per-round ``+ round_time``, at numpy speed.  Never
     a pairwise reduction (``np.sum``, ``math.fsum``): those round
-    differently.
+    differently.  The sum runs in place in the returned array's own
+    buffer, so a segment's floats are held once.
     """
-    if count < _NUMPY_MIN_ROUNDS:
-        return array("d", accumulate(repeat(step, count - 1), initial=start))
-    values = np.full(count, step)
+    rounds = array("d", (step,)) * count
+    values = np.frombuffer(rounds)
     values[0] = start
-    return array("d", np.add.accumulate(values).tobytes())
+    np.add.accumulate(values, out=values)
+    return rounds
 
 
 def _window_rounds(rounds: int, per_round: int, maxlen: int | None) -> int:
@@ -1702,9 +1698,10 @@ class FleetSimulator:
             ``horizon`` (strictly before unless ``inclusive``) in one step.
 
             Mirrors the reference loop's per-round ``finish_round`` +
-            ``start_round`` accounting in closed form.  ``busy_time`` is
-            read from ``seg_busy``, which folded the reference's
-            per-event ``+=`` in order at segment start.  A machine-local
+            ``start_round`` accounting in closed form.  ``busy_time``
+            folds one addition per round in order (``_accumulate_rounds``),
+            as the reference's per-event ``+=`` does (never ``sum()``: it
+            compensates float sums on Python 3.12).  A machine-local
             history only ever sees this machine's boundaries, so it is
             extended here; fleet-wide histories are shared, so the
             flushed boundaries are queued as one run per history for
@@ -1714,9 +1711,10 @@ class FleetSimulator:
             if busy_until > horizon or (busy_until == horizon and not inclusive):
                 return
             left = machine.seg_rounds_left
+            round_time = machine.round_time
             if left == 1:
                 count = 1
-                machine.busy_time += machine.round_time
+                machine.busy_time += round_time
             else:
                 bounds = machine.seg_bounds
                 done = len(bounds) - left
@@ -1724,7 +1722,9 @@ class FleetSimulator:
                     bounds, horizon, done
                 )
                 count = upto - done
-                machine.busy_time = machine.seg_busy[upto - 1]
+                machine.busy_time = _accumulate_rounds(
+                    machine.busy_time, round_time, count + 1
+                )[-1]
             machine.rounds += count
             if machine.seg_records:
                 machine.corun_rounds += count
@@ -1795,7 +1795,7 @@ class FleetSimulator:
             machine.residents = still_running
             machine.round_active = False
             machine.seg_rounds_left = 0
-            machine.seg_bounds = machine.seg_busy = ()
+            machine.seg_bounds = ()
             if machine.draining and not machine.residents and not machine.waiting:
                 machine.alive = False
                 machine.draining = False
@@ -1852,7 +1852,7 @@ class FleetSimulator:
             change, or per-round policy consultation required)."""
             if machine.round_active and machine.seg_rounds_left > 1:
                 machine.seg_rounds_left = 1
-                machine.seg_bounds = machine.seg_busy = ()
+                machine.seg_bounds = ()
                 machine.epoch += 1
                 index = int(machine.machine_id[1:])
                 heapq.heappush(calendar, (machine.busy_until, index, machine.epoch))
@@ -1927,14 +1927,10 @@ class FleetSimulator:
             machine.seg_rounds_left = rounds
             end = machine.busy_until
             if rounds > 1:
-                # Every boundary of the segment and the busy time after
-                # each of its rounds, one addition per round: the floats
-                # the reference loop's per-round ``now + round_time`` and
-                # ``busy_time += round_time`` produce.
+                # Every boundary of the segment, one addition per round:
+                # the floats the reference loop's per-round
+                # ``now + round_time`` produces.
                 machine.seg_bounds = _accumulate_rounds(end, round_time, rounds)
-                machine.seg_busy = _accumulate_rounds(
-                    machine.busy_time + round_time, round_time, rounds
-                )
                 end = machine.seg_bounds[-1]
             machine.epoch += 1
             index = int(machine.machine_id[1:])
@@ -2017,7 +2013,7 @@ class FleetSimulator:
                 machine.lost_steps += len(machine.residents)
                 machine.round_active = False
                 machine.seg_rounds_left = 0
-                machine.seg_bounds = machine.seg_busy = ()
+                machine.seg_bounds = ()
                 machine.seg_records = ()
                 machine.seg_blacklist = ()
                 machine.epoch += 1

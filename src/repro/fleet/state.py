@@ -165,17 +165,13 @@ class MachineState:
     #: (0 when idle or on the reference path).
     seg_rounds_left: int = 0
     #: Every boundary instant of the current segment, accumulated once at
-    #: its start by one sequential fold (an ``array('d')``, see
-    #: ``repro.fleet.simulator._accumulate_rounds``); the next unflushed
-    #: one is ``seg_bounds[len(seg_bounds) - seg_rounds_left]``.  Empty
-    #: for a one-round (or truncated) segment, whose only boundary left
-    #: is ``busy_until``.
+    #: its start by one sequential ``np.add.accumulate`` (an
+    #: ``array('d')``, see ``repro.fleet.simulator._accumulate_rounds``);
+    #: the next unflushed one is
+    #: ``seg_bounds[len(seg_bounds) - seg_rounds_left]``.  Empty for a
+    #: one-round (or truncated) segment, whose only boundary left is
+    #: ``busy_until``.
     seg_bounds: Sequence[float] = field(default=(), repr=False)
-    #: ``busy_time`` after each round of the current segment, built
-    #: beside ``seg_bounds`` from the ``busy_time`` at its start; a flush
-    #: up to boundary ``seg_bounds[i]`` sets ``busy_time = seg_busy[i]``.
-    #: Empty whenever ``seg_bounds`` is.
-    seg_busy: Sequence[float] = field(default=(), repr=False)
     #: Per-round interference record plan, precomputed at segment start:
     #: one (machine history deque, fleet history deque, values) per
     #: distinct pairing of the residents, ``values`` being what one round

@@ -63,10 +63,8 @@ DEFAULT_CHECKPOINT_DIR = ".checkpoints"
 #: Bump when the snapshot payload layout changes: a resume refuses a
 #: snapshot written by an incompatible schema instead of deserialising
 #: garbage into a live event loop.  Version 3 snapshots are refused:
-#: their result rows lived in separate delta files.  Version 4 ones
-#: too: their machines carry no ``seg_busy``, so one restored mid
-#: segment could not flush its busy time.
-CHECKPOINT_SCHEMA_VERSION = 5
+#: their result rows lived in separate delta files.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 #: Whether periodic saves can go to a forked writer.  Tests patch it to
 #: ``False`` for synchronous writes.

@@ -144,9 +144,8 @@ class TestSaveAndOpen:
         path = ck.save(100, state_at(10))
         payload = pickle.loads(path.read_bytes())
         assert payload["version"] == CHECKPOINT_SCHEMA_VERSION
-        # Version 3 kept its rows outside the snapshot file; version 4
-        # machines carry no per-round busy times for their segment.
-        for version in (3, 4, CHECKPOINT_SCHEMA_VERSION + 1):
+        # Version 3 kept its rows outside the snapshot file.
+        for version in (3, CHECKPOINT_SCHEMA_VERSION + 1):
             payload["version"] = version
             path.write_bytes(pickle.dumps(payload))
             with pytest.raises(CheckpointError, match="incompatible"):

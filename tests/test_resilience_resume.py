@@ -243,10 +243,11 @@ CORUN_JOBS = [
 
 @pytest.mark.parametrize("interrupt_after", [4, 5, 6])
 def test_resume_mid_corun_segment_keeps_busy_time_bits(tmp_path, interrupt_after):
-    """A snapshot taken while a co-run machine is rounds into a
-    multi-round segment carries that segment's busy-time sums: the
-    resumed run's per-machine ``busy_time`` and ``utilization`` equal,
-    bit for bit, the uninterrupted run's and the reference loop's."""
+    """A run resumed from a snapshot taken while a co-run machine is
+    rounds into a multi-round segment folds the rest of that segment's
+    rounds onto the restored ``busy_time``: the resumed run's
+    per-machine ``busy_time`` and ``utilization`` equal, bit for bit,
+    the uninterrupted run's and the reference loop's."""
 
     def simulator(compressed=True):
         return FleetSimulator(
