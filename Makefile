@@ -15,8 +15,9 @@ help:
 	@echo "                   placement on states and state sequences, screened"
 	@echo "                   vs per-position tree split search, memoised vs"
 	@echo "                   reference Strategy-3 ranking, run-record encoding"
-	@echo "                   vs the full type walk (FUZZ_EXAMPLES random runs"
-	@echo "                   each, default 3000)"
+	@echo "                   vs the full type walk, incremental vs reference"
+	@echo "                   step simulator (FUZZ_EXAMPLES random runs each,"
+	@echo "                   default 3000)"
 	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
 	@echo "                   (equivalence + speedup gates), updates"
 	@echo "                   BENCH_simulator.json"
@@ -44,7 +45,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 fuzz:
-	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py tests/test_fleet_accumulate.py tests/test_fleet_placement.py tests/test_mlkit_split.py tests/test_hill_climbing_predict.py tests/test_store_jsonify.py
+	REPRO_FUZZ_EXAMPLES=$(FUZZ_EXAMPLES) $(PYTHON) -m pytest -q tests/test_fleet_fuzz.py tests/test_fleet_accumulate.py tests/test_fleet_placement.py tests/test_mlkit_split.py tests/test_hill_climbing_predict.py tests/test_store_jsonify.py tests/test_execsim_fastpath.py
 
 bench:
 	$(PYTHON) -m benchmarks

@@ -5,7 +5,8 @@ Three suites, all writing into ``BENCH_fleet.json``:
 * ``smoke`` (default, ``make fleet``) — replays the canonical fleet
   workload — a 50-job trace (arrival seed 42) over the five-machine
   reference fleet — under every placement policy, twice each, plus one
-  reference-path (``compressed=False``) run per policy, and enforces:
+  reference-loop run per policy (``ReferenceFleetSimulator``, the test
+  oracle in ``tests/reference_fleet.py``), and enforces:
 
   - **determinism** — the second run of every policy must be
     byte-identical to the first (SHA-256 over the outcome's
@@ -99,6 +100,7 @@ from repro.store import record_run, resolve_store
 from repro.store.reporting import merge_bench_report, render_bench_json
 from repro.sweep import SweepCache, SweepExecutor
 from repro.version import __version__
+from tests.reference_fleet import ReferenceFleetSimulator
 
 #: The canonical benchmark workload.
 BENCH_NUM_JOBS = 50
@@ -228,7 +230,7 @@ RESILIENCE_OVERHEAD_GATE = 1.15
 #: is the median of the within-pair ratios, and an odd rep count keeps
 #: the median a single real measurement, robust to one noisy outlier.
 RESILIENCE_OVERHEAD_REPS = 5
-#: The cache-rot leg's seed (see repro.resilience.chaos).
+#: The cache-rot leg's seed (see tests/cache_rot.py).
 CHAOS_SEED = 7
 
 #: Trend gate: warm reruns must not get more than 2x slower than the
@@ -292,8 +294,8 @@ def run_fleet_benchmark(
             # One seed-path run per policy: the fast path must be a pure
             # optimisation, byte-identical on the deterministic fields.
             executor = SweepExecutor("process", jobs=jobs, cache=SweepCache(cache_dir))
-            reference = FleetSimulator(
-                machines, policy=policy, executor=executor, compressed=False
+            reference = ReferenceFleetSimulator(
+                machines, policy=policy, executor=executor
             )
             start = time.perf_counter()
             reference_result = reference.run(trace)
@@ -410,17 +412,16 @@ def run_large_benchmark(
         # The compressed leg is short enough that one scheduling hiccup
         # on a shared CI runner could flip the speedup gate; best-of-2
         # (each run fully cold: fresh estimator) removes that flake.
-        for label, compressed, repeats in (
-            ("compressed", True, 2),
-            ("reference", False, 1),
+        for label, simulator_cls, repeats in (
+            ("compressed", FleetSimulator, 2),
+            ("reference", ReferenceFleetSimulator, 1),
         ):
             best = None
             for _ in range(repeats):
-                simulator = FleetSimulator(
+                simulator = simulator_cls(
                     machines,
                     policy=policy,
                     estimator=StepTimeEstimator(),
-                    compressed=compressed,
                 )
                 start = time.perf_counter()
                 result = simulator.run(trace)
@@ -474,7 +475,7 @@ def run_xl_smoke(
         mean_interarrival=XL_INTERARRIVAL,
     )
     simulator = FleetSimulator(
-        machines, policy="first-fit", estimator=StepTimeEstimator(), compressed=True
+        machines, policy="first-fit", estimator=StepTimeEstimator()
     )
     start = time.perf_counter()
     result = simulator.run(trace)
@@ -529,7 +530,6 @@ def run_xxl_benchmark(
             machines,
             policy="first-fit",
             estimator=StepTimeEstimator(),
-            compressed=True,
         )
         start = time.perf_counter()
         result = simulator.run(stream())
@@ -632,18 +632,16 @@ def run_faults_benchmark(
     policy_reports: dict[str, dict] = {}
     equivalent = deterministic = monotone = True
     for policy in policies:
-        def simulate(*, compressed: bool, faults):
-            simulator = FleetSimulator(
-                machines, policy=policy, estimator=estimator, compressed=compressed
-            )
+        def simulate(simulator_cls, *, faults):
+            simulator = simulator_cls(machines, policy=policy, estimator=estimator)
             start = time.perf_counter()
             result = simulator.run(trace, faults=faults)
             return result, time.perf_counter() - start
 
-        clean, _ = simulate(compressed=True, faults=empty_plan)
-        faulted, seconds = simulate(compressed=True, faults=plan)
-        rerun, _ = simulate(compressed=True, faults=plan)
-        reference, reference_seconds = simulate(compressed=False, faults=plan)
+        clean, _ = simulate(FleetSimulator, faults=empty_plan)
+        faulted, seconds = simulate(FleetSimulator, faults=plan)
+        rerun, _ = simulate(FleetSimulator, faults=plan)
+        reference, reference_seconds = simulate(ReferenceFleetSimulator, faults=plan)
         identical = _digest(faulted) == _digest(reference)
         rerun_identical = _digest(faulted) == _digest(rerun)
         monotonic = faulted.makespan >= clean.makespan
@@ -759,7 +757,6 @@ def run_stream_benchmark(
             machines,
             policy="first-fit",
             estimator=estimator,
-            compressed=True,
             admission=admission,
         )
         start = time.perf_counter()
@@ -799,13 +796,12 @@ def run_stream_benchmark(
     equivalence: dict[str, bool] = {}
     for fault_label, faults in (("fault-free", None), ("faulted", plan)):
         digests = set()
-        for compressed in (False, True):
+        for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
             for streamed in (False, True):
-                simulator = FleetSimulator(
+                simulator = simulator_cls(
                     machines,
                     policy="first-fit",
                     estimator=estimator,
-                    compressed=compressed,
                     admission=admission,
                 )
                 source = overload_process(STREAM_EQ_NUM_JOBS) if streamed else trace
@@ -817,7 +813,6 @@ def run_stream_benchmark(
         machines,
         policy="first-fit",
         estimator=estimator,
-        compressed=True,
         admission=AdmissionController(queue_limit=MILLION_QUEUE_LIMIT),
     )
     start = time.perf_counter()
@@ -994,7 +989,6 @@ def _overhead_probe(order: str) -> dict:
             XL_MACHINES,
             policy="first-fit",
             estimator=estimator,
-            compressed=True,
             admission=admission,
         )
         stream = PoissonArrivals(
@@ -1042,12 +1036,9 @@ def run_resilience_benchmark(
 ) -> dict:
     """The resilience suite: checkpoint overhead, kill-resume, cache rot."""
     from repro.fleet import PoissonArrivals
-    from repro.resilience import (
-        RunInterrupted,
-        corrupt_cache_entries,
-        resume_fleet,
-    )
+    from repro.resilience import RunInterrupted, resume_fleet
     from repro.sweep.executor import SweepTask
+    from tests.cache_rot import corrupt_cache_entries
 
     def stream(n=num_jobs):
         return PoissonArrivals(

@@ -1,5 +1,8 @@
 """The simulator perf harness: incremental fast path vs seed reference.
 
+The reference is ``ReferenceStepSimulator``, the test oracle in
+``tests/reference_step.py``; run from the repository root.
+
 Measures ``StepSimulator.run_step`` on the seeded 500-op synthetic graph
 under the scheduling-scenario families the experiments use (serial
 recommendation, partitioned co-running, oversubscribed uniform pools,
@@ -24,6 +27,7 @@ from repro.graph.synthetic import synthetic_graph
 from repro.hardware.affinity import AffinityMode
 from repro.hardware.zoo import get_machine
 from repro.version import __version__
+from tests.reference_step import ReferenceStepSimulator
 
 #: Relative step-time tolerance between the two simulator paths.
 EQUIVALENCE_TOLERANCE = 1e-9
@@ -116,7 +120,7 @@ def run_simulator_benchmark(
     for name, (policy_factory, gated) in SCENARIOS.items():
         make_policy = lambda: policy_factory(machine)  # noqa: E731
         reference_seconds, reference = _best_time(
-            lambda: StepSimulator(machine, incremental=False), graph, make_policy, repeats
+            lambda: ReferenceStepSimulator(machine), graph, make_policy, repeats
         )
         incremental_seconds, incremental = _best_time(
             lambda: StepSimulator(machine), graph, make_policy, repeats

@@ -254,8 +254,8 @@ class FleetOutcome:
     scheduler_overhead_seconds: float
     estimates_requested: int
     estimates_computed: int
-    #: Heap events the simulator processed — O(mix changes) on the
-    #: compressed fast path vs O(total steps) on the reference path.
+    #: Heap events the simulator processed: O(mix changes), not one per
+    #: round (see :mod:`repro.fleet.simulator`).
     events_processed: int = 0
     # -- fault accounting (all zero on a fault-free run) -------------------------
     #: Jobs that exhausted their retry budget (names, sorted by failure time).
@@ -325,7 +325,6 @@ def run_fleet(
     max_corun: int | None = None,
     config: RuntimeConfig | None = None,
     executor=None,
-    compressed: bool = True,
     faults=None,
     checkpoint=None,
     store=None,
@@ -350,11 +349,9 @@ def run_fleet(
     the outcome reports rejections, shed rate, peak queue depth and
     exact wait percentiles.  ``policy`` is one of
     :func:`repro.fleet.available_policies` (``"first-fit"``,
-    ``"load-balanced"``, ``"interference-aware"``).  ``compressed``
-    selects the round-compression fast path (default) or the one-event-
-    per-round reference loop — both produce the identical deterministic
-    outcome.  ``faults`` injects a deterministic fault plan (machine
-    crashes, joins, drains, stragglers, preemptions): a
+    ``"load-balanced"``, ``"interference-aware"``).  ``faults`` injects a
+    deterministic fault plan (machine crashes, joins, drains, stragglers,
+    preemptions): a
     :class:`~repro.fleet.FaultPlan`, a registered fault-spec name
     (:func:`repro.scenarios.available_fault_specs`), a spec dict or a
     JSON string/path — see :mod:`repro.fleet.faults`.  The same (trace,
@@ -420,7 +417,6 @@ def run_fleet(
         executor=executor,
         config=config,
         max_corun=max_corun if max_corun is not None else DEFAULT_MAX_CORUN,
-        compressed=compressed,
         faults=faults,
         admission=admission,
     )
@@ -428,7 +424,6 @@ def run_fleet(
         machines=machines,
         policy_name=getattr(simulator.policy, "name", str(policy)),
         max_corun=max_corun if max_corun is not None else DEFAULT_MAX_CORUN,
-        compressed=compressed,
         admission=admission,
         faults=faults,
         generated_spec=generated_spec,
@@ -500,7 +495,6 @@ def _fleet_config(
     machines,
     policy_name,
     max_corun,
-    compressed,
     admission,
     faults,
     generated_spec,
@@ -541,7 +535,9 @@ def _fleet_config(
         "machines": list(machines),
         "policy": policy_name,
         "max_corun": max_corun,
-        "compressed": compressed,
+        # A constant since the fleet has one event loop: it keeps the
+        # run ids and checkpoint manifests of earlier runs unchanged.
+        "compressed": True,
         "admission": admission.to_dict() if admission is not None else None,
         "faults": fault_spec,
         "arrivals": arrival_spec,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hardware.counters import CounterEvent, SELECTED_FEATURES
+from repro.hardware.counters import CounterEvent
 from repro.mlkit.tree import DecisionTreeRegression
 
 
@@ -65,8 +65,3 @@ def select_counter_features(
         sorted(events, key=lambda e: (-importances[e], e.value))
     )
     return FeatureSelectionResult(events=ranked, importances=importances)
-
-
-def default_selected_features() -> tuple[CounterEvent, ...]:
-    """The four features the paper settles on."""
-    return SELECTED_FEATURES

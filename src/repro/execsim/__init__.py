@@ -8,7 +8,7 @@ scheduler co-runs several operations on the chip?"
 :mod:`repro.execsim.contention`).
 """
 
-from repro.execsim.contention import ContentionState, RunningOpView, corun_slowdowns
+from repro.execsim.contention import ContentionState, RunningOpView
 from repro.execsim.op_runtime import (
     OpTimeBreakdown,
     execution_time,
@@ -32,7 +32,6 @@ from repro.execsim.gpu import GpuKernelModel, GpuLaunchConfig
 __all__ = [
     "ContentionState",
     "RunningOpView",
-    "corun_slowdowns",
     "OpTimeBreakdown",
     "execution_time",
     "execution_time_cached",

@@ -12,20 +12,18 @@ operations onto hyper-threads (Strategy 4), two resources are shared:
 * **memory bandwidth** — the chip-level bandwidth ceiling is divided among
   all streaming operations, stretching the memory-bound part of each.
 
-The simulator used to call :func:`corun_slowdowns` — a from-scratch
+The simulator used to call ``corun_slowdowns`` — a from-scratch
 recomputation over every running operation — on every scheduling event.
-That function remains as the reference implementation (and for one-shot
-queries), but the hot path now goes through :class:`ContentionState`,
-which maintains per-core load, bandwidth demand totals and unpinned-pool
-counts incrementally as operations are added and removed, and only
-recomputes the slowdown factors whose inputs actually changed.
+That function is kept as the test oracle in ``tests/reference_step.py``;
+the simulator goes through :class:`ContentionState`, which maintains
+per-core load, bandwidth demand totals and unpinned-pool counts
+incrementally as operations are added and removed, and only recomputes
+the slowdown factors whose inputs actually changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
 from repro.hardware.topology import Machine
 
 
@@ -58,42 +56,6 @@ class RunningOpView:
             raise ValueError("memory_bound_fraction must lie in [0, 1]")
 
 
-def _core_sharing_slowdown(
-    views: Sequence[RunningOpView],
-    machine: Machine,
-) -> dict[str, float]:
-    """Slowdown of each op from sharing physical cores with other threads."""
-    # Threads each op places on each of its cores (may be fractional when the
-    # thread count is not a multiple of the core count, and >1 when
-    # oversubscribed).
-    per_core_threads: dict[str, float] = {
-        v.key: v.threads / len(v.core_ids) for v in views
-    }
-    load: dict[int, float] = {}
-    for view in views:
-        for core in view.core_ids:
-            load[core] = load.get(core, 0.0) + per_core_threads[view.key]
-
-    slowdowns: dict[str, float] = {}
-    for view in views:
-        own = per_core_threads[view.key]
-        capacity = 0.0
-        for core in view.core_ids:
-            total = load[core]
-            resident = max(1, round(total))
-            aggregate = machine.smt.core_throughput(
-                resident, memory_bound=view.memory_bound_char
-            )
-            # A thread can at most progress at single-thread speed, so the
-            # op's share of this core is bounded by its own thread count on
-            # the core even when the core is mostly idle.
-            capacity += min(own, aggregate * (own / total))
-        # The base duration assumed one dedicated core per thread, i.e. a
-        # capacity equal to the thread count.
-        slowdowns[view.key] = view.threads / capacity if capacity > 0 else float("inf")
-    return slowdowns
-
-
 #: Strength of the cache-thrashing / thread-migration interference between
 #: unpinned thread pools sharing cores, per unit of foreign load.
 UNPINNED_INTERFERENCE = 0.75
@@ -104,93 +66,11 @@ UNPINNED_POOL_INTERFERENCE = 0.3
 UNPINNED_INTERFERENCE_CAP = 2.6
 
 
-def _unpinned_interference(
-    views: Sequence[RunningOpView],
-) -> dict[str, float]:
-    """Extra slowdown from co-running *unpinned* thread pools.
-
-    TensorFlow's inter-op parallelism runs several operations on one
-    shared, unpinned intra-op pool: their threads migrate, interleave and
-    evict each other's tile working sets.  The paper's runtime avoids this
-    by giving co-running operations disjoint, pinned core partitions
-    (Strategy 3) or dedicated SMT slots (Strategy 4) — those placements do
-    not pay this penalty, which is a large part of why the runtime beats
-    uniform inter-op parallelism (Table I vs Fig. 3).
-    """
-    per_core_threads: dict[str, float] = {
-        v.key: v.threads / len(v.core_ids) for v in views
-    }
-    load: dict[int, float] = {}
-    unpinned_on_core: dict[int, bool] = {}
-    for view in views:
-        for core in view.core_ids:
-            load[core] = load.get(core, 0.0) + per_core_threads[view.key]
-            if not view.pinned:
-                unpinned_on_core[core] = True
-
-    num_unpinned = sum(1 for v in views if not v.pinned)
-    factors: dict[str, float] = {}
-    for view in views:
-        exposed = (not view.pinned) or any(
-            unpinned_on_core.get(core, False) for core in view.core_ids
-        )
-        if not exposed:
-            factors[view.key] = 1.0
-            continue
-        own = per_core_threads[view.key]
-        foreign = sum(load[core] - own for core in view.core_ids) / len(view.core_ids)
-        other_pools = max(0, num_unpinned - (0 if view.pinned else 1))
-        factor = (
-            1.0
-            + UNPINNED_INTERFERENCE * max(0.0, foreign)
-            + UNPINNED_POOL_INTERFERENCE * other_pools
-        )
-        factors[view.key] = min(UNPINNED_INTERFERENCE_CAP, factor)
-    return factors
-
-
-def _bandwidth_slowdown(
-    views: Sequence[RunningOpView],
-    machine: Machine,
-) -> dict[str, float]:
-    """Slowdown of each op from dividing the chip's memory bandwidth."""
-    total_demand = sum(v.bandwidth_demand for v in views)
-    ceiling = machine.memory.fast_bandwidth
-    if total_demand <= ceiling or total_demand == 0.0:
-        return {v.key: 1.0 for v in views}
-    stretch = total_demand / ceiling
-    return {
-        v.key: (1.0 - v.memory_bound_fraction) + v.memory_bound_fraction * stretch
-        for v in views
-    }
-
-
-def corun_slowdowns(
-    views: Sequence[RunningOpView],
-    machine: Machine,
-) -> dict[str, float]:
-    """Combined slowdown factor (>= about 1) for every running operation.
-
-    A single operation running alone on dedicated cores gets a factor of
-    exactly 1.0; sharing cores or exceeding the bandwidth ceiling raises
-    it.  Factors slightly below 1.0 are possible when an operation placed
-    two of *its own* threads per core (the small SMT aggregate gain).
-    """
-    if not views:
-        return {}
-    keys = [v.key for v in views]
-    if len(set(keys)) != len(keys):
-        raise ValueError("running op keys must be unique")
-    core = _core_sharing_slowdown(views, machine)
-    bandwidth = _bandwidth_slowdown(views, machine)
-    unpinned = _unpinned_interference(views)
-    return {key: core[key] * bandwidth[key] * unpinned[key] for key in keys}
-
-
 class ContentionState:
     """Incrementally-maintained co-run slowdown factors.
 
-    Semantically equivalent to calling :func:`corun_slowdowns` on the
+    Semantically equivalent to calling ``corun_slowdowns``
+    (``tests/reference_step.py``) on the
     current set of running operations after every change (the test suite
     asserts this over randomized add/remove sequences), but instead of
     rebuilding the per-core load map, bandwidth total and unpinned-pool
@@ -452,7 +332,8 @@ class ContentionState:
             uniform = self._shared_cores[key] == 0
         foreign = None
 
-        # Core-sharing term (identical arithmetic to _core_sharing_slowdown;
+        # Core-sharing term (identical arithmetic to the oracle's
+        # _core_sharing_slowdown in tests/reference_step.py;
         # uniform totals collapse the per-core sum to one term).  The
         # decomposed uniform + per-core sums can differ from the
         # reference's interleaved fold by a last ulp, which only matters
@@ -497,7 +378,8 @@ class ContentionState:
             foreign = foreign_sum / num_cores_op
         factor = view.threads / capacity if capacity > 0 else float("inf")
 
-        # Bandwidth term (identical arithmetic to _bandwidth_slowdown).
+        # Bandwidth term (identical arithmetic to the oracle's
+        # _bandwidth_slowdown).
         total_demand = self._total_demand
         if total_demand > self._ceiling and total_demand != 0.0:
             stretch = total_demand / self._ceiling
@@ -506,7 +388,8 @@ class ContentionState:
                 + view.memory_bound_fraction * stretch
             )
 
-        # Unpinned-pool term (identical arithmetic to _unpinned_interference).
+        # Unpinned-pool term (identical arithmetic to the oracle's
+        # _unpinned_interference).
         if self._num_unpinned:
             exposed = (not view.pinned) or self._exposed_to_unpinned(view, full_span)
             if exposed:
@@ -529,23 +412,3 @@ class ContentionState:
             return self._num_unpinned > self._uniform_unpinned
         unpinned_on_core = self._unpinned_on_core
         return any(unpinned_on_core[core] for core in view.core_ids)
-
-
-def interference_loss(
-    alone: Mapping[str, float],
-    corun: Mapping[str, float],
-) -> dict[str, float]:
-    """Relative per-op performance loss of co-running versus running alone.
-
-    Used by the runtime's interference tracker (Section III-D: the runtime
-    records operations whose co-run loss is unexpectedly high and avoids
-    co-running them again).
-    """
-    losses: dict[str, float] = {}
-    for key, alone_time in alone.items():
-        if key not in corun:
-            continue
-        if alone_time <= 0:
-            raise ValueError(f"alone time for {key!r} must be positive")
-        losses[key] = max(0.0, corun[key] / alone_time - 1.0)
-    return losses

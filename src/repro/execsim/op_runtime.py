@@ -189,11 +189,6 @@ def execution_time_cached(
         return execution_time(chars, machine, threads, affinity, reconfigured=reconfigured)
 
 
-def execution_time_cache_info():
-    """Hit/miss statistics of the memoised execution-time model."""
-    return _execution_time_cached.cache_info()
-
-
 #: Noise-free standalone totals: machine -> {(chars, threads, affinity): total}.
 _STANDALONE_TOTALS: dict[Machine, dict[tuple, float]] = {}
 

@@ -7,18 +7,16 @@ decides *which ready operations to launch, with how many threads and on
 which kind of placement* — exactly the decision surface of the paper's
 runtime (and of the TensorFlow baselines it compares against).
 
-Two execution paths exist:
-
-* the default **incremental** path keeps a :class:`ContentionState` up to
-  date as operations launch and finish, caches each operation's
-  characterization and contention view at launch time, advances progress
-  lazily (an operation's remaining time only needs touching when its
-  slowdown factor actually changes) and tracks the earliest finish with a
-  heap — O(changed factors) per event instead of O(running · cores);
-* the **reference** path (``StepSimulator(machine, incremental=False)``)
-  preserves the original from-scratch recomputation.  The test suite and
-  the benchmark harness assert that both produce identical ``step_time``
-  (within float round-off) for every scenario.
+The simulation is incremental: it keeps a :class:`ContentionState` up
+to date as operations launch and finish, caches each operation's
+characterization and contention view at launch time, advances progress
+lazily (an operation's remaining time only needs touching when its
+slowdown factor actually changes) and tracks the earliest finish with a
+heap — O(changed factors) per event instead of O(running · cores).  The
+original from-scratch recomputation is kept as the test oracle
+``ReferenceStepSimulator`` (``tests/reference_step.py``); the test suite
+and the simulator benchmark assert that both produce the same events and
+the same ``step_time`` (within float round-off).
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from repro.execsim.contention import ContentionState, RunningOpView, corun_slowdowns
+from repro.execsim.contention import ContentionState, RunningOpView
 from repro.execsim.events import EventKind, SimulationEvent
-from repro.execsim.op_runtime import OpTimeBreakdown, execution_time, execution_time_cached
+from repro.execsim.op_runtime import OpTimeBreakdown, execution_time_cached
 from repro.execsim.trace import ExecutionTrace, OpExecutionRecord
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.op import OpInstance
@@ -142,7 +140,7 @@ class _Running:
     slowdown: float = 1.0
     last_update: float = 0.0
     #: Launch sequence number — the heap tie-breaker that reproduces the
-    #: reference implementation's insertion-order min() scan.
+    #: reference oracle's insertion-order min() scan.
     seq: int = 0
     #: Contention view cached at launch (characterization runs once).
     view: RunningOpView | None = None
@@ -150,9 +148,6 @@ class _Running:
     finish_time: float = 0.0
     #: Cached RunningOpInfo handed to policies, invalidated on slowdown change.
     info: RunningOpInfo | None = field(default=None, compare=False)
-
-    def predicted_finish(self, now: float) -> float:
-        return now + self.remaining_fraction * self.base_duration * self.slowdown
 
 
 class StepSimulator:
@@ -171,11 +166,6 @@ class StepSimulator:
         deterministic.
     seed:
         Seed for the noise generator.
-    incremental:
-        Use the incremental contention/progress fast path (the default).
-        ``False`` selects the original from-scratch reference
-        implementation; both produce identical results and the reference
-        is kept for equivalence tests and benchmark baselines.
     """
 
     def __init__(
@@ -185,14 +175,12 @@ class StepSimulator:
         registry: OpRegistry | None = None,
         noise_sigma: float = 0.0,
         seed: int = 0,
-        incremental: bool = True,
     ) -> None:
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         self.machine = machine
         self.registry = registry
         self.noise_sigma = noise_sigma
-        self.incremental = incremental
         self._rng = make_rng(seed)
         #: Per-simulator characterization memo (covers custom registries,
         #: which the process-wide ``characterize_cached`` cannot serve).
@@ -206,12 +194,6 @@ class StepSimulator:
         if self._registry_cache is None:
             return characterize_cached(op)
         return self._registry_cache(op)
-
-    def _characterize_reference(self, op: OpInstance):
-        """Seed-faithful characterization: custom registries are uncached."""
-        if self.registry is None:
-            return characterize_cached(op)
-        return self.registry.estimate(op)
 
     def _noisy(self, duration: float) -> float:
         if self.noise_sigma == 0.0:
@@ -230,18 +212,6 @@ class StepSimulator:
         """Simulate one training step of ``graph`` under ``policy``."""
         graph.validate()
         policy.on_step_begin(graph, self.machine)
-        if self.incremental:
-            return self._run_step_incremental(graph, policy, step_name)
-        return self._run_step_reference(graph, policy, step_name)
-
-    # -- incremental fast path --------------------------------------------------
-
-    def _run_step_incremental(
-        self,
-        graph: DataflowGraph,
-        policy: SchedulingPolicy,
-        step_name: str,
-    ) -> StepResult:
         machine = self.machine
         allocator = CoreAllocator(machine.topology)
         trace = ExecutionTrace(step_name=step_name)
@@ -472,236 +442,6 @@ class StepSimulator:
                     insort(ready_sorted, succ)
 
             apply_factor_changes(contention.remove(finishing_name))
-
-        emit(EventKind.STEP_END, "")
-        return StepResult(
-            policy_name=getattr(policy, "name", policy.__class__.__name__),
-            graph_name=graph.name,
-            step_time=now,
-            trace=trace,
-            forced_launches=forced_launches,
-        )
-
-    # -- reference implementation ------------------------------------------------
-
-    def _run_step_reference(
-        self,
-        graph: DataflowGraph,
-        policy: SchedulingPolicy,
-        step_name: str,
-    ) -> StepResult:
-        """The original from-scratch implementation, kept verbatim.
-
-        Recomputes the full contention model on every event and
-        re-characterizes every running op on every refresh; the
-        incremental path is asserted equivalent to this one by the test
-        suite and benchmarked against it by the perf harness.
-        """
-        allocator = CoreAllocator(self.machine.topology)
-        trace = ExecutionTrace(step_name=step_name)
-        completed: set[str] = set()
-        pending: set[str] = {op.name for op in graph}
-        ready: set[str] = set(graph.sources())
-        running: dict[str, _Running] = {}
-        #: thread count last used per operation type (Strategy 2 / reconfiguration).
-        last_threads: dict[str, int] = {}
-        now = 0.0
-        event_index = 0
-        forced_launches = 0
-
-        def emit(kind: EventKind, op_name: str, threads: int = 0) -> None:
-            nonlocal event_index
-            busy = self.machine.num_cores - allocator.free_cores
-            trace.add_event(
-                SimulationEvent(
-                    index=event_index,
-                    time=now,
-                    kind=kind,
-                    op_name=op_name,
-                    corunning=len(running),
-                    busy_cores=busy,
-                    threads=threads,
-                )
-            )
-            event_index += 1
-
-        def build_context() -> SchedulingContext:
-            ready_ops = tuple(sorted((graph.op(n) for n in ready), key=lambda o: o.name))
-            running_info = tuple(
-                RunningOpInfo(
-                    op=r.op,
-                    threads=r.request.threads,
-                    placement=r.request.placement,
-                    start_time=r.start_time,
-                    predicted_finish=r.predicted_finish(now),
-                    cores=len(r.core_ids),
-                )
-                for r in running.values()
-            )
-            return SchedulingContext(
-                time=now,
-                ready=ready_ops,
-                running=running_info,
-                free_cores=allocator.free_cores,
-                free_hyperthread_cores=allocator.free_hyperthread_cores,
-                machine=self.machine,
-            )
-
-        def update_progress() -> None:
-            """Advance every running op's completed fraction up to ``now``."""
-            for r in running.values():
-                elapsed = now - r.last_update
-                if elapsed > 0:
-                    duration = r.base_duration * r.slowdown
-                    r.remaining_fraction = max(
-                        0.0, r.remaining_fraction - elapsed / duration
-                    )
-                    r.last_update = now
-
-        def refresh_slowdowns() -> None:
-            """Recompute contention factors after the running set changed."""
-            if not running:
-                return
-            views = [
-                RunningOpView(
-                    key=name,
-                    core_ids=r.core_ids,
-                    threads=r.request.threads,
-                    bandwidth_demand=r.breakdown.bandwidth_demand,
-                    memory_bound_fraction=r.breakdown.memory_bound_fraction,
-                    memory_bound_char=self._characterize_reference(r.op).memory_bound,
-                    pinned=r.request.placement is not PlacementKind.OVERSUBSCRIBED,
-                )
-                for name, r in running.items()
-            ]
-            factors = corun_slowdowns(views, self.machine)
-            for name, r in running.items():
-                r.slowdown = factors[name]
-
-        def try_launch(request: LaunchRequest) -> bool:
-            op = graph.op(request.op_name)
-            if request.op_name not in ready:
-                raise ValueError(
-                    f"policy tried to launch {request.op_name!r} which is not ready"
-                )
-            allocation: CoreAllocation | None
-            if request.placement is PlacementKind.DEDICATED:
-                cores = min(request.threads, allocator.free_cores)
-                if cores <= 0:
-                    return False
-                allocation = allocator.allocate(cores)
-                core_ids = allocation.core_ids
-            elif request.placement is PlacementKind.HYPERTHREAD:
-                cores = min(request.threads, allocator.free_hyperthread_cores)
-                if cores <= 0:
-                    return False
-                allocation = allocator.allocate_hyperthreads(cores)
-                core_ids = allocation.core_ids
-            else:  # OVERSUBSCRIBED — share every physical core, bypassing the allocator.
-                allocation = None
-                core_ids = tuple(range(self.machine.num_cores))
-
-            chars = self._characterize_reference(op)
-            reconfigured = (
-                op.op_type in last_threads and last_threads[op.op_type] != request.threads
-            )
-            breakdown = execution_time(
-                chars,
-                self.machine,
-                request.threads,
-                request.affinity,
-                reconfigured=reconfigured and op.is_tunable,
-            )
-            last_threads[op.op_type] = request.threads
-            base = self._noisy(breakdown.total)
-            running[request.op_name] = _Running(
-                op=op,
-                request=request,
-                allocation=allocation,
-                core_ids=core_ids,
-                breakdown=breakdown,
-                base_duration=base,
-                start_time=now,
-                last_update=now,
-            )
-            ready.discard(request.op_name)
-            emit(EventKind.LAUNCH, request.op_name, threads=request.threads)
-            return True
-
-        emit(EventKind.STEP_BEGIN, "")
-
-        while pending:
-            # --- launch phase: keep asking the policy until it stops launching.
-            launched_any = True
-            while launched_any and ready:
-                launched_any = False
-                context = build_context()
-                requests = list(policy.select_launches(context))
-                for request in requests:
-                    if request.op_name in running or request.op_name in completed:
-                        continue
-                    if try_launch(request):
-                        launched_any = True
-                if launched_any:
-                    update_progress()
-                    refresh_slowdowns()
-
-            # --- deadlock guard: never let the step stall with work pending.
-            if not running:
-                if not ready:
-                    raise RuntimeError(
-                        f"graph {graph.name!r} cannot make progress: "
-                        f"{len(pending)} pending ops but none ready"
-                    )
-                fallback_name = sorted(ready)[0]
-                fallback_threads = max(1, allocator.free_cores)
-                forced_launches += 1
-                try_launch(
-                    LaunchRequest(
-                        op_name=fallback_name,
-                        threads=fallback_threads,
-                        affinity=AffinityMode.SHARED,
-                        placement=PlacementKind.DEDICATED,
-                    )
-                )
-                update_progress()
-                refresh_slowdowns()
-
-            # --- advance time to the earliest finish.
-            finishing_name, finishing = min(
-                running.items(), key=lambda item: item[1].predicted_finish(now)
-            )
-            finish_time = finishing.predicted_finish(now)
-            now = finish_time
-            update_progress()
-
-            # --- retire the finished operation.
-            r = running.pop(finishing_name)
-            if r.allocation is not None:
-                allocator.release(r.allocation)
-            completed.add(finishing_name)
-            pending.discard(finishing_name)
-            trace.add_record(
-                OpExecutionRecord(
-                    op_name=r.op.name,
-                    op_type=r.op.op_type,
-                    threads=r.request.threads,
-                    affinity=r.request.affinity,
-                    start_time=r.start_time,
-                    finish_time=now,
-                    used_hyperthreads=r.request.placement is PlacementKind.HYPERTHREAD,
-                )
-            )
-            emit(EventKind.FINISH, finishing_name, threads=r.request.threads)
-
-            # --- newly ready operations.
-            for succ in graph.successors(finishing_name):
-                if succ in completed or succ in running or succ in ready:
-                    continue
-                if all(dep in completed for dep in graph.predecessors(succ)):
-                    ready.add(succ)
-
-            refresh_slowdowns()
 
         emit(EventKind.STEP_END, "")
         return StepResult(

@@ -99,7 +99,6 @@ def run(
     queue_limit: int | None = None,
     deadline: float | None = None,
     shed_policy: str = "reject-at-arrival",
-    compressed: bool = True,
     executor: SweepExecutor | None = None,
     fault_plan: str | dict | None = None,
     fault_seed: int | None = None,
@@ -185,7 +184,6 @@ def run(
             machines,
             policy=policy,
             estimator=estimator,
-            compressed=compressed,
             admission=admission,
         )
         result = simulator.run(jobs, faults=plan)

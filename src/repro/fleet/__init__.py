@@ -7,19 +7,19 @@ a pluggable policy (:mod:`repro.fleet.policies`) and executed by an
 event-driven simulator (:mod:`repro.fleet.simulator`) whose per-machine
 rounds run on the existing merged-graph co-run path with cached
 step-time estimates (:mod:`repro.fleet.estimates`).  The simulator's
-round-compression fast path batch-advances stable job mixes in closed
-form — O(mix changes) heap events instead of O(total training steps) —
-and a boundary calendar finds the machines due at each event without
-scanning the fleet.  It stays byte-identical to the seed loop
-(``FleetSimulator(compressed=False)``), the independent reference
-oracle, which keeps 1,000-job traces interactive and 100,000-job /
-1,000-machine streams feasible.
+event loop batch-advances stable job mixes in closed form — O(mix
+changes) heap events instead of O(total training steps) — and a
+boundary calendar finds the machines due at each event without scanning
+the fleet.  It stays byte-identical to the seed one-event-per-round
+loop, kept as the independent test oracle ``ReferenceFleetSimulator``
+(``tests/reference_fleet.py``), and keeps 1,000-job traces interactive
+and 100,000-job / 1,000-machine streams feasible.
 
 Deterministic fault injection (:mod:`repro.fleet.faults`) layers machine
 churn, graceful drains, straggler windows and job preemption over any
-trace as a declarative seeded :class:`~repro.fleet.faults.FaultPlan` —
-consulted by both simulator loops, with the compressed path still
-byte-identical to the reference loop under faults.
+trace as a declarative seeded :class:`~repro.fleet.faults.FaultPlan`,
+and the simulator stays byte-identical to the reference loop under
+faults.
 
 Open-loop service (:mod:`repro.fleet.arrivals`): seeded lazy arrival
 processes (Poisson, diurnal, bursty heavy-tail, replay) stream jobs

@@ -18,10 +18,11 @@ service model:
   ``completions + failures + rejections == offered`` always holds.
 
 Like fault plans (:mod:`repro.fleet.faults`), processes and controllers
-are *values*: frozen, seeded, serialisable to dict specs, and consulted
-identically by both simulator loops — the round-compression fast path
-treats every admission decision and shed instant as a mandatory segment
-boundary and stays byte-identical to ``FleetSimulator(compressed=False)``.
+are *values*: frozen, seeded, serialisable to dict specs.  The
+simulator treats every admission decision and shed instant as a
+mandatory segment boundary and stays byte-identical to the
+one-event-per-round reference loop of the tests
+(``tests/reference_fleet.py``).
 """
 
 from __future__ import annotations

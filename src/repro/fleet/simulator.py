@@ -19,13 +19,14 @@ machine records the observed pairing slowdowns into its local
 merges that round's delta into the fleet-wide tracker — so a pairing one
 machine found harmful steers placements everywhere.
 
-Round compression (the fast path)
----------------------------------
+Round compression
+-----------------
 While a machine's resident mix is stable, every gang round is identical:
 same duration (one memoised estimate), same interference records, same
-decrements.  The reference loop still pays one heap event per round —
-O(total training steps) events for the whole trace.  The compressed
-path (:class:`FleetSimulator` default) instead advances
+decrements.  The seed loop paid one heap event per round — O(total
+training steps) events for the whole trace; it is kept as the test
+oracle ``ReferenceFleetSimulator`` (``tests/reference_fleet.py``), the
+"reference loop" below.  :class:`FleetSimulator` instead advances
 ``k = min(remaining steps among residents)`` rounds as one **segment**
 with a single heap event at the segment's end, and flushes the
 intermediate round boundaries lazily, each machine's due ones in one
@@ -58,21 +59,21 @@ step:
   the policy then sees the exact per-round ``FleetState`` sequence the
   reference loop would have shown it.
 
-Event count drops from O(total steps) to O(mix changes); the reference
-implementation is kept as ``FleetSimulator(compressed=False)`` and the
-equivalence is enforced by tests and by the fleet benchmark.
+Event count drops from O(total steps) to O(mix changes); the tests and
+the fleet benchmark enforce byte-identical outcomes against the
+reference loop.
 
 Fault injection
 ---------------
-Both loops consult a :class:`~repro.fleet.faults.FaultInjector`
+The loop consults a :class:`~repro.fleet.faults.FaultInjector`
 (``run(jobs, faults=...)``): crashes, graceful drains, mid-trace joins,
 straggler windows and job preemptions are heap events of their own kind,
 ordered *after* round boundaries and *before* arrivals at equal
-timestamps.  In the compressed path every fault instant is a mandatory
-segment boundary — the handler flushes every due boundary first,
-applies the fault (aborting any in-flight round), and truncates
-surviving segments, so interference histories and every float stay
-bit-identical to the reference loop even mid-fault-storm.  An empty
+timestamps.  Every fault instant is a mandatory segment boundary — the
+handler flushes every due boundary first, applies the fault (aborting
+any in-flight round), and truncates surviving segments, so interference
+histories and every float stay bit-identical to the reference loop even
+mid-fault-storm.  An empty
 plan pushes no events and costs nothing.
 
 Open-loop arrivals & admission control
@@ -95,11 +96,11 @@ admitted jobs still queued past their ``deadline`` expire via
 ``completions + failures + rejections == offered`` always holds, and
 :class:`FleetResult` reports exact-method p50/p95/p99 wait/turnaround
 percentiles plus windowed queue-depth/throughput/goodput series — all
-inside the determinism digest.  On the compressed path every admission
-decision and shed instant is a mandatory segment boundary (the PR 6
-fault playbook): the handler replays due boundaries first, and a
-non-empty queue keeps segments clamped to one round, so both loops see
-identical queue states at identical instants.
+inside the determinism digest.  Every admission decision and shed
+instant is a mandatory segment boundary, as a fault instant is: the
+handler replays due boundaries first, and a non-empty queue keeps
+segments clamped to one round, so the loop sees the reference loop's
+queue states at identical instants.
 
 Everything is deterministic for a fixed (arrival process, policy,
 machine set, fault plan, admission controller): events are heap-ordered
@@ -452,8 +453,9 @@ class FleetResult:
     #: and how many were actually simulated (the rest were memo hits).
     estimates_requested: int = 0
     estimates_computed: int = 0
-    #: Heap events the simulator processed (the compressed path's whole
-    #: point is making this O(mix changes) instead of O(total steps)).
+    #: Heap events the simulator processed: O(mix changes), where the
+    #: one-event-per-round reference loop of the tests takes O(total
+    #: steps).
     #: Diagnostic only — excluded from determinism digests.
     events_processed: int = 0
 
@@ -718,11 +720,6 @@ class FleetSimulator:
         Job slots per machine.
     interference_threshold:
         Pairing-slowdown blacklist threshold of the fleet-wide tracker.
-    compressed:
-        ``True`` (default) runs the round-compression fast path;
-        ``False`` keeps the seed one-event-per-round reference loop.
-        Both produce identical deterministic outcomes
-        (``FleetResult.to_dict(include_overhead=False)``).
     faults:
         Default fault plan for every :meth:`run` — a
         :class:`~repro.fleet.faults.FaultPlan`, injector, spec dict,
@@ -748,7 +745,6 @@ class FleetSimulator:
         config: RuntimeConfig | None = None,
         max_corun: int = DEFAULT_MAX_CORUN,
         interference_threshold: float = DEFAULT_INTERFERENCE_THRESHOLD,
-        compressed: bool = True,
         faults: "FaultPlan | FaultInjector | dict | str | None" = None,
         admission: "AdmissionController | dict | None" = None,
         series_window: float = 25.0,
@@ -763,7 +759,6 @@ class FleetSimulator:
             get_machine(name)  # fail fast on dangling zoo names
         self.machine_names = tuple(machines)
         self.max_corun = max_corun
-        self.compressed = compressed
         self.faults = resolve_fault_plan(faults)
         self.admission = resolve_admission(admission)
         self.series_window = float(series_window)
@@ -785,8 +780,8 @@ class FleetSimulator:
         #: every later run() resets to it so repeated runs are identical.
         self._tracker_baseline: "InterferenceSnapshot | None" = None
         #: Per-run checkpoint plumbing, set by run() for the duration of
-        #: the event loop (the loops read them instead of new parameters
-        #: so the two runner signatures stay identical).
+        #: the event loop (the loop reads them instead of new parameters,
+        #: so an overriding loop keeps the same signature).
         self._ckpt = None
         self._resume_payload: dict | None = None
 
@@ -866,11 +861,12 @@ class FleetSimulator:
             state = resume_from.get("state")
             if not isinstance(state, dict):
                 raise CheckpointError("resume payload carries no state dict")
-            expected_mode = "compressed" if self.compressed else "reference"
-            if state.get("mode") != expected_mode:
+            # Retired loops (the sharded engine, the reference loop)
+            # wrote snapshots whose state this loop cannot restore.
+            if state.get("mode") != "compressed":
                 raise CheckpointError(
                     f"checkpoint was written by the {state.get('mode')!r} loop "
-                    f"but this simulator runs the {expected_mode!r} path"
+                    "but this simulator runs the 'compressed' loop"
                 )
             if self._policy_spec is None:
                 raise CheckpointError(
@@ -934,7 +930,6 @@ class FleetSimulator:
                 machines, [], [], [], [], (), 0, 0.0, 0,
                 requests_before, computed_before,
             )
-        runner = self._run_compressed if self.compressed else self._run_reference
         self._ckpt = checkpoint
         self._resume_payload = resume_from
         try:
@@ -947,7 +942,7 @@ class FleetSimulator:
                 offered,
                 overhead,
                 events,
-            ) = runner(stream, machines, injector, controller)
+            ) = self._run_loop(stream, machines, injector, controller)
         finally:
             self._ckpt = None
             self._resume_payload = None
@@ -1043,484 +1038,19 @@ class FleetSimulator:
             events_processed=events,
         )
 
-    # -- the reference event loop (the seed path, one event per round) -------------
+    # -- the event loop (round compression) -------------------------------------------
 
-    def _run_reference(
+    def _run_loop(
         self,
         stream: Iterator[Job],
         machines: list[MachineState],
         injector: FaultInjector,
         controller: AdmissionController,
     ) -> tuple:
-        by_id = {m.machine_id: m for m in machines}
-        queue: list[Job] = []
-        placements: list[Placement] = []
-        completions: list[JobCompletion] = []
-        failures: list[JobFailure] = []
-        rejections: list[JobRejection] = []
-        depth_log = _QueueDepthLog(self.series_window)
-        queue_limit = controller.queue_limit
-        drop_oldest = controller.drop_oldest
-        deadline = controller.deadline
-        offered = 0
-        start_times: dict[str, float] = {}
-        #: Execution attempts per job.  Entries exist only for jobs a
-        #: crash has requeued (or failed): completions read
-        #: ``attempts.get(name, 1)``, and a *missing* entry marks the job
-        #: still deadline-eligible (a retried job is exempt).
-        attempts: dict[str, int] = {}
-        #: Remaining steps of requeued jobs: a crash/preempt restores the
-        #: job's progress to the last completed round boundary, and its
-        #: next placement resumes from here instead of ``num_steps``.
-        remaining_override: dict[str, int] = {}
-        max_retries = injector.max_retries
-        overhead = 0.0
-        now = 0.0
-        seq = 0
-        events_processed = 0
-
-        #: (time, kind, seq, payload) — kind orders round-ends before
-        #: faults before deadline expiries before arrivals at equal
-        #: timestamps, seq keeps FIFO among equals (fault instants replay
-        #: in plan order).  Arrivals are pulled lazily: exactly one
-        #: future arrival lives in the heap, and popping it pushes the
-        #: next — heap order is decided by (time, kind) before seq, and
-        #: equal-time arrivals keep their relative push order, so the
-        #: outcome is byte-identical to pushing the whole trace up front.
-        events: list[tuple[float, int, int, object]] = []
-        arrivals_pulled = 0
-        ckpt = self._ckpt
-
-        def push_next_arrival() -> None:
-            nonlocal seq, arrivals_pulled
-            job = next(stream, None)
-            if job is not None:
-                arrivals_pulled += 1
-                heapq.heappush(events, (job.arrival_time, _ARRIVAL, seq, job))
-                seq += 1
-
-        placements_pack = _PackCache()
-        completions_pack = _PackCache()
-        if self._resume_payload is None:
-            push_next_arrival()
-            for instant in injector.timeline():
-                heapq.heappush(events, (instant.time, _FAULT, seq, instant))
-                seq += 1
-        else:
-            # Restore the captured loop state wholesale.  The pending
-            # fault instants, the in-flight arrival and every timer
-            # already live in the captured heap, so the initial pushes
-            # above must not run again.
-            state = self._resume_payload["state"]
-            now = state["now"]
-            seq = state["seq"]
-            offered = state["offered"]
-            overhead = state["overhead"]
-            events_processed = state["events_processed"]
-            arrivals_pulled = state["arrivals_pulled"]
-            events = state["events"]
-            queue = state["queue"]
-            placements = _unpack_rows(Placement, state["placements"])
-            completions = _unpack_rows(JobCompletion, state["completions"])
-            placements_pack = _PackCache(seed=state["placements"])
-            completions_pack = _PackCache(seed=state["completions"])
-            failures = state["failures"]
-            rejections = state["rejections"]
-            depth_log = state["depth_log"]
-            start_times = state["start_times"]
-            attempts = state["attempts"]
-            remaining_override = state["remaining_override"]
-            machines[:] = state["machines"]
-            by_id.clear()
-            by_id.update((m.machine_id, m) for m in machines)
-
-        def capture() -> dict:
-            return {
-                "mode": "reference",
-                "now": now,
-                "seq": seq,
-                "offered": offered,
-                "overhead": overhead,
-                "events_processed": events_processed,
-                "arrivals_pulled": arrivals_pulled,
-                "events": events,
-                "queue": queue,
-                "placements": placements_pack.pack(placements),
-                "completions": completions_pack.pack(completions),
-                "failures": failures,
-                "rejections": rejections,
-                "depth_log": depth_log,
-                "start_times": start_times,
-                "attempts": attempts,
-                "remaining_override": remaining_override,
-                "machines": machines,
-                "tracker": self.tracker,
-            }
-
-        def reject(job: Job, reason: str) -> None:
-            rejections.append(
-                JobRejection(
-                    job=job.name,
-                    kind=job.kind,
-                    arrival_time=job.arrival_time,
-                    rejected_time=now,
-                    reason=reason,
-                )
-            )
-
-        def shed(job: Job, reason: str) -> None:
-            # The job just left the central queue unserved; any progress
-            # restored from an earlier preemption dies with it.
-            remaining_override.pop(job.name, None)
-            reject(job, reason)
-            depth_log.record(now, len(queue))
-
-        def fleet_state() -> FleetState:
-            # Read the dirty-flag cache directly: a thousand-machine fleet
-            # pays one method call per *touched* machine instead of one
-            # per machine per placement.
-            return FleetState(
-                time=now,
-                machines=tuple(m._view_cache or m.view() for m in machines),
-                queue=tuple(queue),
-                queue_limit=queue_limit,
-            )
-
-        def start_round(machine: MachineState) -> None:
-            machine.residents.extend(machine.waiting)
-            machine.waiting.clear()
-            machine.touch()
-            if not machine.residents:
-                return
-            for job in machine.residents:
-                start_times.setdefault(job.name, now)
-            base = self.estimator.step_time(machine.machine_name, machine.residents)
-            machine.round_base = base
-            round_time = scale_step_time(base, machine.straggle)
-            machine.round_time = round_time
-            machine.busy_until = now + round_time
-            machine.round_active = True
-            # Round-end events tie-break on the machine's stable numeric
-            # index (machine ids are dense ``m<index>``), not a global
-            # sequence counter: equal-instant round ends then replay in
-            # an order reconstructible from per-machine state alone,
-            # which the compressed loop's boundary calendar relies on.
-            heapq.heappush(
-                events,
-                (machine.busy_until, _ROUND_END, int(machine.machine_id[1:]),
-                 (machine.machine_id, machine.epoch)),
-            )
-
-        def finish_round(machine: MachineState) -> None:
-            machine.round_active = False
-            residents = list(machine.residents)
-            # The round completed: only now does it count (an aborted
-            # round contributes to lost_steps instead).
-            machine.busy_time += machine.round_time
-            machine.rounds += 1
-            if len(residents) > 1:
-                machine.corun_rounds += 1
-            # Observe pairing slowdowns before anyone departs.  The
-            # *unscaled* duration is compared against the solo estimates:
-            # a straggling machine is uniformly slow, not a bad pairing.
-            if len(residents) > 1:
-                duration = machine.round_base
-                delta = InterferenceTracker(threshold=self.tracker.threshold)
-                solos = {
-                    job.name: self.estimator.solo_time(machine.machine_name, job)
-                    for job in residents
-                }
-                for i, job_a in enumerate(residents):
-                    for job_b in residents[i + 1 :]:
-                        baseline = max(solos[job_a.name], solos[job_b.name])
-                        slowdown = duration / baseline - 1.0 if baseline > 0 else 0.0
-                        delta.record(job_a.kind, job_b.kind, slowdown)
-                snapshot = delta.snapshot()
-                machine.tracker.merge(snapshot)
-                self.tracker.merge(snapshot)
-            # Advance every resident by one step; retire the finished.
-            still_running: list[Job] = []
-            for job in residents:
-                remaining = machine.remaining_steps[job.name] - 1
-                machine.remaining_steps[job.name] = remaining
-                if remaining <= 0:
-                    del machine.remaining_steps[job.name]
-                    completions.append(
-                        JobCompletion(
-                            job=job.name,
-                            kind=job.kind,
-                            machine_id=machine.machine_id,
-                            arrival_time=job.arrival_time,
-                            start_time=start_times.pop(job.name),
-                            finish_time=now,
-                            num_steps=job.num_steps,
-                            attempts=attempts.get(job.name, 1),
-                        )
-                    )
-                else:
-                    still_running.append(job)
-            machine.residents = still_running
-            machine.touch()
-            if machine.draining and not machine.residents and not machine.waiting:
-                machine.alive = False
-                machine.draining = False
-                machine.dead_since = now
-
-        def dispatch() -> None:
-            nonlocal overhead
-            # FIFO over the queue; a job the policy declines stays queued
-            # (later jobs may still fit — no head-of-line blocking).
-            for job in list(queue):
-                state = fleet_state()
-                tick = _time.perf_counter()
-                choice = self.policy.place(job, state)
-                overhead += _time.perf_counter() - tick
-                if choice is None:
-                    continue
-                machine = by_id[choice]
-                if machine.free_slots <= 0:
-                    raise RuntimeError(
-                        f"policy {self.policy.name!r} placed {job.name!r} on full "
-                        f"machine {choice!r}"
-                    )
-                queue.remove(job)
-                depth_log.record(now, len(queue))
-                machine.waiting.append(job)
-                machine.remaining_steps[job.name] = remaining_override.pop(
-                    job.name, job.num_steps
-                )
-                machine.touch()
-                placements.append(
-                    Placement(
-                        job=job.name, kind=job.kind, machine_id=choice, time=now
-                    )
-                )
-                if not machine.round_active:
-                    start_round(machine)
-
-        def fail_job(job: Job, time: float, count: int) -> None:
-            attempts[job.name] = count
-            remaining_override.pop(job.name, None)
-            failures.append(
-                JobFailure(
-                    job=job.name,
-                    kind=job.kind,
-                    arrival_time=job.arrival_time,
-                    attempts=count,
-                    failed_time=time,
-                )
-            )
-
-        def abort_round(machine: MachineState) -> None:
-            """Discard an in-flight round: every resident loses the step
-            in progress, and the pending round-end event goes stale."""
-            if machine.round_active:
-                machine.lost_steps += len(machine.residents)
-                machine.round_active = False
-                machine.epoch += 1
-                machine.busy_until = now
-                machine.touch()
-
-        def check_drained(machine: MachineState) -> None:
-            if machine.draining and not machine.residents and not machine.waiting:
-                machine.alive = False
-                machine.draining = False
-                machine.dead_since = now
-                machine.touch()
-
-        def requeue(job: Job, machine: MachineState) -> None:
-            """Crash path: send the job back with retry budget burned,
-            or fail it if the budget is gone."""
-            count = attempts.get(job.name, 1)
-            if count >= max_retries:
-                fail_job(job, now, count)
-            else:
-                attempts[job.name] = count + 1
-                machine.retries += 1
-                queue.append(job)
-                depth_log.record(now, len(queue))
-
-        def apply_fault(instant: FaultInstant) -> list[MachineState]:
-            """Apply one fault instant; returns machines whose surviving
-            residents must restart a round (after the dispatch pass)."""
-            event = instant.event
-            action = instant.action
-            restart: list[MachineState] = []
-            if action == faultlib.JOIN:
-                new = MachineState(
-                    machine_id=f"m{len(machines)}",
-                    machine_name=event.machine_name,
-                    capacity=self.max_corun,
-                    tracker=InterferenceTracker(threshold=self.tracker.threshold),
-                    joined_at=now,
-                )
-                machines.append(new)
-                by_id[new.machine_id] = new
-                return restart
-            if action == faultlib.PREEMPT:
-                for machine in machines:
-                    if not machine.alive:
-                        continue
-                    resident = next(
-                        (j for j in machine.residents if j.name == event.job), None
-                    )
-                    if resident is not None:
-                        abort_round(machine)
-                        machine.residents.remove(resident)
-                        remaining_override[resident.name] = machine.remaining_steps.pop(
-                            resident.name
-                        )
-                        machine.preemptions += 1
-                        machine.touch()
-                        queue.append(resident)
-                        depth_log.record(now, len(queue))
-                        check_drained(machine)
-                        if machine.alive:
-                            restart.append(machine)
-                        return restart
-                    waiter = next(
-                        (j for j in machine.waiting if j.name == event.job), None
-                    )
-                    if waiter is not None:
-                        machine.waiting.remove(waiter)
-                        remaining_override[waiter.name] = machine.remaining_steps.pop(
-                            waiter.name
-                        )
-                        machine.preemptions += 1
-                        machine.touch()
-                        queue.append(waiter)
-                        depth_log.record(now, len(queue))
-                        check_drained(machine)
-                        return restart
-                return restart  # queued / finished / unknown job: no-op
-            machine = by_id[event.machine]
-            if not machine.alive:
-                return restart  # faults on dead machines are no-ops
-            if action == faultlib.CRASH:
-                abort_round(machine)
-                members = machine.residents + machine.waiting
-                machine.residents = []
-                machine.waiting = []
-                for job in members:
-                    remaining_override[job.name] = machine.remaining_steps.pop(job.name)
-                    requeue(job, machine)
-                machine.alive = False
-                machine.accepting = False
-                machine.draining = False
-                machine.dead_since = now
-                machine.touch()
-            elif action == faultlib.LEAVE:
-                machine.accepting = False
-                if not machine.residents and not machine.waiting:
-                    machine.alive = False
-                    machine.dead_since = now
-                else:
-                    machine.draining = True
-                machine.touch()
-            elif action == faultlib.STRAGGLER_START:
-                machine.straggle = machine.straggle + (event.factor,)
-            elif action == faultlib.STRAGGLER_END:
-                factors = list(machine.straggle)
-                if event.factor in factors:
-                    factors.remove(event.factor)
-                machine.straggle = tuple(factors)
-            return restart
-
-        while events:
-            if ckpt is not None and events_processed >= ckpt._trigger:
-                # Every loop top is a sync point: all state is between
-                # events here, so a snapshot (or an interruption) is
-                # always resumable.  The inlined ``_trigger`` guard
-                # keeps the common no-save iteration to one compare.
-                ckpt.tick(events_processed, capture)
-            event_time, kind, _, payload = heapq.heappop(events)
-            now = event_time
-            if kind == _ARRIVAL:
-                events_processed += 1
-                push_next_arrival()
-                job: Job = payload  # type: ignore[assignment]
-                offered += 1
-                if queue_limit is not None and len(queue) >= queue_limit:
-                    if drop_oldest:
-                        shed(queue.pop(0), "drop-oldest")
-                    else:
-                        # The queue is untouched, so nothing to dispatch
-                        # and no deadline timer to arm.
-                        reject(job, "reject-at-arrival")
-                        continue
-                queue.append(job)
-                depth_log.record(now, len(queue))
-                if deadline is not None:
-                    heapq.heappush(events, (now + deadline, _EXPIRE, seq, job))
-                    seq += 1
-                dispatch()
-            elif kind == _FAULT:
-                events_processed += 1
-                restart = apply_fault(payload)  # type: ignore[arg-type]
-                dispatch()
-                for machine in restart:
-                    if not machine.round_active and (
-                        machine.residents or machine.waiting
-                    ):
-                        start_round(machine)
-            elif kind == _EXPIRE:
-                job = payload  # type: ignore[assignment]
-                # Stale timer: the job left the queue (placed, finished,
-                # shed) or bought a retry — crash-requeued jobs are
-                # exempt from their original deadline.
-                if job.name in attempts or job not in queue:
-                    continue
-                events_processed += 1
-                queue.remove(job)
-                shed(job, "deadline-expire")
-                dispatch()
-            else:
-                machine_id, epoch = payload  # type: ignore[misc]
-                machine = by_id[machine_id]
-                if epoch != machine.epoch:
-                    continue  # round aborted by a fault: event is stale
-                events_processed += 1
-                finish_round(machine)
-                dispatch()
-                if not machine.round_active:
-                    start_round(machine)
-
-        if queue:
-            if any(m.accepting for m in machines):
-                stuck = [job.name for job in queue]
-                raise FleetStalled(
-                    f"fleet simulation stalled with {len(queue)} jobs queued "
-                    f"(policy {self.policy.name!r} kept declining placements): "
-                    + ", ".join(stuck),
-                    stuck,
-                )
-            # Dead fleet: no machine can ever accept again.  Abandon the
-            # stranded jobs as failures (charged their full retry budget)
-            # instead of spinning or deadlocking.
-            for job in queue:
-                fail_job(job, now, max_retries)
-            queue.clear()
-            depth_log.record(now, 0)
-        return (
-            completions,
-            placements,
-            failures,
-            rejections,
-            depth_log.finish(),
-            offered,
-            overhead,
-            events_processed,
-        )
-
-    # -- the round-compression fast path -------------------------------------------
-
-    def _run_compressed(
-        self,
-        stream: Iterator[Job],
-        machines: list[MachineState],
-        injector: FaultInjector,
-        controller: AdmissionController,
-    ) -> tuple:
+        """The event loop: run the stream to completion and return the
+        raw outcome tuple :meth:`run` assembles.  The test oracle
+        ``tests/reference_fleet.py`` overrides it with the
+        one-event-per-round loop."""
         by_id = {m.machine_id: m for m in machines}
         #: Arrival-ordered pending index: insertion order is FIFO arrival
         #: order, removal is O(1) by job name (the reference path's
@@ -1536,10 +1066,12 @@ class FleetSimulator:
         deadline = controller.deadline
         offered = 0
         start_times: dict[str, float] = {}
-        #: Execution attempts / restored progress of requeued jobs —
-        #: mirrors the reference loop exactly (see _run_reference; an
-        #: attempts entry exists only for crash-requeued/failed jobs and
-        #: doubles as the deadline exemption).
+        #: Execution attempts / restored progress of requeued jobs, as in
+        #: the reference loop (tests/reference_fleet.py).  An attempts
+        #: entry exists only for crash-requeued/failed jobs and doubles
+        #: as the deadline exemption: a missing entry marks the job still
+        #: deadline-eligible.  A crash/preempt restores a job's progress
+        #: to its last completed round boundary.
         attempts: dict[str, int] = {}
         remaining_override: dict[str, int] = {}
         max_retries = injector.max_retries
@@ -1553,8 +1085,14 @@ class FleetSimulator:
         events_processed = 0
         queue_view: tuple[Job, ...] | None = ()
 
-        #: Lazy arrival pull — see _run_reference: one future arrival in
-        #: the heap, byte-identical to pushing the trace up front.
+        #: (time, kind, seq, payload) — kind orders round-ends before
+        #: faults before deadline expiries before arrivals at equal
+        #: timestamps, seq keeps FIFO among equals (fault instants replay
+        #: in plan order).  Arrivals are pulled lazily: exactly one
+        #: future arrival lives in the heap, and popping it pushes the
+        #: next — heap order is decided by (time, kind) before seq, and
+        #: equal-time arrivals keep their relative push order, so the
+        #: outcome is byte-identical to pushing the whole trace up front.
         events: list[tuple[float, int, int, object]] = []
         #: Boundary calendar: ``(next unflushed boundary, machine index,
         #: epoch)`` for every machine with a running segment, so
@@ -1589,9 +1127,11 @@ class FleetSimulator:
                 heapq.heappush(events, (instant.time, _FAULT, seq, instant))
                 seq += 1
         else:
-            # Restore the captured loop state wholesale (see
-            # _run_reference).  Machines, tracker and heap were pickled
-            # as ONE payload, so the seg_records' live references into
+            # Restore the captured loop state wholesale.  The pending
+            # fault instants, the in-flight arrival and every timer
+            # already live in the captured heap, so the initial pushes
+            # above must not run again.  Machines, tracker and heap were
+            # pickled as ONE payload, so the seg_records' live references into
             # the machine-local and fleet-wide interference history
             # deques are still shared after the round-trip; the queue of
             # fleet-history runs starts empty, as capture() left it.

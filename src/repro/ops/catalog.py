@@ -25,10 +25,8 @@ reproduction.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.graph.op import OpInstance
-from repro.graph.shapes import TensorShape
 from repro.ops.characteristics import OpCharacteristics
 from repro.ops.registry import OpRegistry
 
@@ -67,10 +65,6 @@ def _conv_dims(op: OpInstance) -> tuple[int, int, int, int, int, int, int]:
             oh = ow = 1
             c_out = out.channels
     return int(n), int(oh), int(ow), int(c_in), int(c_out), kh, kw
-
-
-def _sum_bytes(shapes: Sequence[TensorShape]) -> int:
-    return sum(s.num_bytes for s in shapes)
 
 
 def _streaming(

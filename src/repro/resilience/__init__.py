@@ -1,11 +1,11 @@
-"""Resilient execution layer: checkpoint/resume and cache-rot injection.
+"""Resilient execution layer: checkpoint and resume.
 
-* :mod:`repro.resilience.checkpoint` — periodic atomic snapshots of a
-  fleet run's full loop state; a killed run resumes byte-identical via
-  :func:`resume_fleet` / ``python -m repro resume <run_id>``.
-* :mod:`repro.resilience.chaos` — seeded, deterministic rot of on-disk
-  cache entries, so the self-healing read paths are *gated*, not just
-  present.  A mid-run interrupt is ``CheckpointConfig.interrupt_after``.
+:mod:`repro.resilience.checkpoint` takes periodic atomic snapshots of a
+fleet run's full loop state; a killed run resumes byte-identical via
+:func:`resume_fleet` / ``python -m repro resume <run_id>``.  A mid-run
+interrupt is ``CheckpointConfig.interrupt_after``.  Seeded cache rot,
+which gates the self-healing read paths, lives with the tests
+(``tests/cache_rot.py``).
 
 ``resume_fleet`` is resolved lazily: it imports :mod:`repro.api`, which
 (indirectly) imports this package, and a module-level import here would
@@ -14,7 +14,6 @@ cycle.
 
 from __future__ import annotations
 
-from repro.resilience.chaos import corrupt_cache_entries
 from repro.resilience.checkpoint import (
     CHECKPOINT_DIR_ENV,
     CHECKPOINT_SCHEMA_VERSION,
@@ -40,7 +39,6 @@ __all__ = [
     "RunInterrupted",
     "checkpoint_dir",
     "checkpoint_root",
-    "corrupt_cache_entries",
     "list_checkpoint_runs",
     "resolve_checkpoint",
     "resolve_checkpoint_run",

@@ -60,8 +60,10 @@ def resume_fleet(
         )
     admission = config.get("admission") or {}
     # Manifests written by the retired sharded engine also carry a
-    # ``"sharding"`` key; it is ignored, and their ``"sharded"``
-    # snapshots fail the simulator's loop-mode check.
+    # ``"sharding"`` key, and a run of the retired reference loop
+    # recorded ``"compressed": False``; both are ignored here, and their
+    # ``"sharded"`` and ``"reference"`` snapshots fail the simulator's
+    # loop-mode check.
 
     from repro.api import run_fleet
 
@@ -70,7 +72,6 @@ def resume_fleet(
         machines=tuple(config["machines"]),
         policy=config["policy"],
         max_corun=config.get("max_corun"),
-        compressed=config.get("compressed", True),
         faults=config.get("faults"),
         queue_limit=admission.get("queue_limit"),
         deadline=admission.get("deadline"),

@@ -1,4 +1,4 @@
-"""Deterministic cache-rot injection for the execution layer.
+"""Deterministic cache-rot injection for tests and the resilience benchmark.
 
 :func:`corrupt_cache_entries` rots a seeded selection of on-disk pickle
 entries, so the self-healing read paths of the sweep cache and the run

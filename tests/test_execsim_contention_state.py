@@ -1,4 +1,5 @@
-"""Property-style equivalence tests: ContentionState vs corun_slowdowns.
+"""Property-style equivalence tests: ContentionState vs corun_slowdowns
+(the from-scratch oracle in tests/reference_step.py).
 
 The incremental :class:`ContentionState` must produce the same factors as
 a from-scratch :func:`corun_slowdowns` call on the surviving views after
@@ -10,8 +11,9 @@ bandwidth saturation.
 from __future__ import annotations
 
 import pytest
+from reference_step import corun_slowdowns
 
-from repro.execsim.contention import ContentionState, RunningOpView, corun_slowdowns
+from repro.execsim.contention import ContentionState, RunningOpView
 from repro.utils.seeding import make_rng
 
 TOLERANCE = 1e-9

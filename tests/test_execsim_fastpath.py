@@ -1,25 +1,41 @@
-"""Equivalence of the incremental simulator fast path vs the reference.
+"""Equivalence of the incremental step simulator vs the reference.
 
 ``StepSimulator(machine)`` (incremental) and
-``StepSimulator(machine, incremental=False)`` (the original from-scratch
-implementation) must produce the same step times, traces and event
-sequences for every policy family — serial, partitioned co-running,
-hyper-thread packing, oversubscribed pools, forced launches and noisy
-runs alike.
+``ReferenceStepSimulator(machine)`` (the original from-scratch
+implementation, tests/reference_step.py) must produce the same step
+times, traces and event sequences for every policy family — serial,
+partitioned co-running, hyper-thread packing, oversubscribed pools,
+forced launches and noisy runs alike.
+
+The generated test draws the case: any zoo machine (the SMT-less
+``arm-server-64c`` included), a synthetic graph of 8–80 ops, one of the
+policies below or the paper's runtime policy over a profile of the drawn
+graph, and noise on or off.  Events and forced launches must match
+exactly and times within 1e-9 relative; the largest relative time error
+is reported as a Hypothesis target (``--hypothesis-show-statistics``).
+Tier-1 runs a small derandomized profile; ``make fuzz`` sets
+``REPRO_FUZZ_EXAMPLES`` for a long randomized run.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, given, settings, target
+from hypothesis import strategies as st
+from reference_step import ReferenceStepSimulator
 
 from repro.baselines.tf_default import UniformPolicy, default_policy, recommended_policy
 from repro.core.runtime import TrainingRuntime
 from repro.execsim.simulator import LaunchRequest, PlacementKind, StepSimulator
 from repro.graph.synthetic import synthetic_graph
 from repro.hardware.affinity import AffinityMode
+from repro.hardware.zoo import available_machines, get_machine
 from repro.models import build_model
 
 TOLERANCE = 1e-9
+FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0"))
 
 
 class PartitionedPolicy:
@@ -91,8 +107,8 @@ class LazyPolicy:
 
 
 def _run_both(machine, graph, make_policy, *, noise_sigma=0.0, seed=0):
-    reference = StepSimulator(
-        machine, incremental=False, noise_sigma=noise_sigma, seed=seed
+    reference = ReferenceStepSimulator(
+        machine, noise_sigma=noise_sigma, seed=seed
     ).run_step(graph, make_policy())
     fast = StepSimulator(
         machine, noise_sigma=noise_sigma, seed=seed
@@ -172,8 +188,81 @@ class TestFastPathEquivalence:
         graph = build_model("resnet50", stage_blocks=(1, 1, 1, 1))
         runtime = TrainingRuntime(knl)
         model = runtime.profile(graph)
-        reference = StepSimulator(knl, incremental=False).run_step(
+        reference = ReferenceStepSimulator(knl).run_step(
             graph, runtime.build_policy(model)
         )
         fast = StepSimulator(knl).run_step(graph, runtime.build_policy(model))
         _assert_same_results(reference, fast)
+
+
+def _relative_error(value: float, expected: float) -> float:
+    if value == expected:
+        return 0.0
+    return abs(value - expected) / max(abs(expected), 1e-300)
+
+
+@st.composite
+def step_cases(draw):
+    machine = get_machine(draw(st.sampled_from(available_machines())))
+    graph_args = dict(
+        num_ops=draw(st.integers(min_value=8, max_value=80)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        width=draw(st.integers(min_value=1, max_value=10)),
+        heavy_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+        skip_probability=draw(st.floats(min_value=0.0, max_value=0.5)),
+    )
+    graph = synthetic_graph(**graph_args)
+    policy_name = draw(st.sampled_from((*sorted(POLICIES), "lazy", "runtime")))
+    if policy_name == "lazy":
+        make_policy = LazyPolicy
+    elif policy_name == "runtime":
+        runtime = TrainingRuntime(machine)
+        model = runtime.profile(graph)
+        make_policy = lambda: runtime.build_policy(model)  # noqa: E731
+    else:
+        make_policy = lambda: POLICIES[policy_name](machine)  # noqa: E731
+    return dict(
+        machine=machine,
+        graph_args=graph_args,
+        graph=graph,
+        policy=policy_name,
+        make_policy=make_policy,
+        noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.2))),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+@settings(
+    max_examples=FUZZ_EXAMPLES or 200,
+    derandomize=not FUZZ_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=step_cases())
+def test_generated_step_matches_reference(case):
+    reference, fast = _run_both(
+        case["machine"],
+        case["graph"],
+        case["make_policy"],
+        noise_sigma=case["noise_sigma"],
+        seed=case["seed"],
+    )
+
+    def events(result):
+        return [
+            (e.kind, e.op_name, e.corunning, e.busy_cores, e.threads)
+            for e in result.trace.events
+        ]
+
+    assert events(fast) == events(reference)
+    assert fast.forced_launches == reference.forced_launches
+    pairs = [(fast.step_time, reference.step_time)]
+    pairs += [(f.time, r.time) for f, r in zip(fast.trace.events, reference.trace.events)]
+    ref_records = {r.op_name: r for r in reference.trace.records}
+    for record in fast.trace.records:
+        expected = ref_records[record.op_name]
+        pairs.append((record.start_time, expected.start_time))
+        pairs.append((record.finish_time, expected.finish_time))
+    error = max(_relative_error(value, expected) for value, expected in pairs)
+    target(error, label="largest relative time error")
+    assert error <= TOLERANCE

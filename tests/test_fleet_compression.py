@@ -2,8 +2,9 @@
 
 The compressed fleet simulator batch-advances stable job mixes as
 multi-round segments; these tests pin the contract that it is a pure
-optimisation — ``FleetSimulator(compressed=True)`` and the seed
-``compressed=False`` loop produce byte-identical deterministic outcomes
+optimisation — ``FleetSimulator`` and the seed one-event-per-round loop
+(``ReferenceFleetSimulator``, tests/reference_fleet.py) produce
+byte-identical deterministic outcomes
 (``FleetResult.to_dict(include_overhead=False)``) — plus the satellite
 guarantees around ``canonical_mix`` signature stability, estimator
 memo accounting and the prewarm's on-disk dedupe.  The fast loop's
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from reference_fleet import ReferenceFleetSimulator
 
 from repro.core.config import RuntimeConfig
 from repro.fleet import (
@@ -137,12 +139,11 @@ def deterministic_dict(result):
 def run_both_paths(machines, policy, jobs, *, estimator_kwargs=None, preseed=None):
     """Run one trace through both simulator paths; return the two results."""
     results = []
-    for compressed in (False, True):
-        sim = FleetSimulator(
+    for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+        sim = simulator_cls(
             machines,
             policy=policy,
             estimator=fake_estimator(machines, **(estimator_kwargs or {})),
-            compressed=compressed,
         )
         if preseed:
             for pair in preseed:
@@ -242,13 +243,12 @@ class TestCompressionEquivalence:
             mean_interarrival=1.0,
         )
         results = []
-        for compressed in (False, True):
-            sim = FleetSimulator(
+        for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+            sim = simulator_cls(
                 machines,
                 policy="first-fit",
                 estimator=fake_estimator(machines, pair_factor=1.3),
                 max_corun=3,
-                compressed=compressed,
             )
             results.append(sim.run(jobs, prewarm=False))
         assert deterministic_dict(results[0]) == deterministic_dict(results[1])
@@ -263,12 +263,11 @@ class TestCompressionEquivalence:
         estimator = StepTimeEstimator()  # shared memo across all six runs
         for policy in ("first-fit", "load-balanced", "interference-aware"):
             outcomes = []
-            for compressed in (False, True):
-                sim = FleetSimulator(
+            for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+                sim = simulator_cls(
                     DEFAULT_FLEET,
                     policy=policy,
                     estimator=estimator,
-                    compressed=compressed,
                 )
                 outcomes.append(deterministic_dict(sim.run(jobs)))
             assert outcomes[0] == outcomes[1], policy
@@ -286,12 +285,11 @@ class TestCompressionEquivalence:
             mean_interarrival=1.0,
         )
         trackers = []
-        for compressed in (False, True):
-            sim = FleetSimulator(
+        for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+            sim = simulator_cls(
                 machines,
                 policy="first-fit",
                 estimator=fake_estimator(machines, pair_factor=1.8),
-                compressed=compressed,
             )
             sim.run(jobs, prewarm=False)
             trackers.append(sim.tracker.snapshot())
@@ -435,12 +433,11 @@ def fault_plan(jobs, seed=3):
 def assert_loops_agree(policy, jobs, *, faults=None, admission=None):
     """Fast and reference loop: same outcome and same fleet tracker."""
     outcomes = []
-    for compressed in (False, True):
-        sim = FleetSimulator(
+    for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+        sim = simulator_cls(
             MACHINES,
             policy=policy,
             estimator=fake_estimator(MACHINES),
-            compressed=compressed,
             admission=admission,
         )
         result = sim.run(jobs, prewarm=False, faults=faults)
@@ -480,12 +477,11 @@ class TestCalendarByteIdentity:
 def loops_outcome(machines, policy, jobs, estimator_for, **sim_kwargs):
     """Digest plus fleet tracker snapshot of both loops, reference first."""
     outcomes = []
-    for compressed in (False, True):
-        sim = FleetSimulator(
+    for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+        sim = simulator_cls(
             machines,
             policy=policy,
             estimator=estimator_for(machines),
-            compressed=compressed,
             **sim_kwargs,
         )
         result = sim.run(jobs, prewarm=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from reference_fleet import ReferenceFleetSimulator
 
 from repro.fleet import (
     AdmissionController,
@@ -97,12 +98,11 @@ def run_both_paths(machines, policy, jobs, faults, *, pair_factor=1.5, admission
     """One trace + plan through both simulator paths; returns results and
     tracker snapshots."""
     results, trackers = [], []
-    for compressed in (False, True):
-        sim = FleetSimulator(
+    for simulator_cls in (ReferenceFleetSimulator, FleetSimulator):
+        sim = simulator_cls(
             machines,
             policy=policy,
             estimator=fake_estimator(machines, pair_factor),
-            compressed=compressed,
             admission=admission,
         )
         results.append(sim.run(jobs, prewarm=False, faults=faults))
@@ -234,7 +234,6 @@ class TestCrashAccounting:
             machines,
             policy="load-balanced",
             estimator=fake_estimator(machines),
-            compressed=True,
         )
         return sim.run(jobs, prewarm=False, faults=plan)
 

@@ -1,6 +1,7 @@
-"""Generated differential tests: fast fleet loop == reference loop,
-streamed arrivals == their materialised trace, and resumed run ==
-uninterrupted run.
+"""Generated differential tests: fast fleet loop == reference loop
+(``ReferenceFleetSimulator``, tests/reference_fleet.py), streamed
+arrivals == their materialised trace, and resumed run == uninterrupted
+run.
 
 Hypothesis draws whole fleet runs: a multiset of 2–5 zoo machines,
 ``max_corun`` 1–3, 1–10 jobs of 1–400 steps with tie-prone arrival
@@ -20,9 +21,10 @@ diurnal or bursty, 1–30 jobs, with the same machines, faults, policies
 and admission): on each loop, pulling it lazily must give the same
 digest and fleet tracker as replaying ``process.materialize()``.
 
-The resume test takes the same runs on both loops, snapshots every
-1–20 events, interrupts at a drawn point and resumes from the newest
-snapshot; digest and fleet tracker must equal the uninterrupted run's.
+The resume test takes the same runs on the product loop (the reference
+loop does not checkpoint), snapshots every 1–20 events, interrupts at a
+drawn point and resumes from the newest snapshot; digest and fleet
+tracker must equal the uninterrupted run's.
 
 Tier-1 runs a small derandomized profile.  ``make fuzz`` sets
 ``REPRO_FUZZ_EXAMPLES`` for a long randomized run.
@@ -38,6 +40,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from reference_fleet import ReferenceFleetSimulator
 from reference_placement import ReferenceInterferenceAwarePolicy
 from test_fleet_compression import (
     BASES,
@@ -207,7 +210,7 @@ DEAD_FLEET = dict(
 
 
 def simulator(case, compressed):
-    return FleetSimulator(
+    return (FleetSimulator if compressed else ReferenceFleetSimulator)(
         case["machines"],
         policy=case["policy"],
         # The joined machines need solo times too.
@@ -215,7 +218,6 @@ def simulator(case, compressed):
         max_corun=case["max_corun"],
         admission=case["admission"],
         interference_threshold=case["interference_threshold"],
-        compressed=compressed,
     )
 
 
@@ -273,16 +275,10 @@ def test_streamed_run_matches_materialised(case):
     interrupt=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 def test_resumed_run_matches_uninterrupted(case, interval, interrupt):
-    # Each loop restores its own state, so both resume every case.
-    for compressed in (False, True):
-        resume_matches_uninterrupted(case, compressed, interval, interrupt)
-
-
-def resume_matches_uninterrupted(case, compressed, interval, interrupt):
     def run(sim, **kw):
         return sim.run(case["jobs"], prewarm=False, faults=case["faults"], **kw)
 
-    baseline = simulator(case, compressed)
+    baseline = simulator(case, compressed=True)
     try:
         result = run(baseline)
     except FleetStalled:
@@ -296,12 +292,12 @@ def resume_matches_uninterrupted(case, compressed, interval, interrupt):
         config = CheckpointConfig(interval=interval, root=root)
         with pytest.raises(RunInterrupted):
             run(
-                simulator(case, compressed),
+                simulator(case, compressed=True),
                 checkpoint=dataclasses.replace(config, interrupt_after=interrupt_after),
                 run_id="fuzz",
                 manifest={},
             )
         checkpointer, payload = Checkpointer.open("fuzz", config=config)
-        resumed = simulator(case, compressed)
+        resumed = simulator(case, compressed=True)
         result = run(resumed, checkpoint=checkpointer, resume_from=payload)
     assert (deterministic_dict(result), resumed.tracker.snapshot()) == want

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_fleet import ReferenceFleetSimulator
 from reference_placement import ReferenceInterferenceAwarePolicy
 from test_fleet import FakeEstimator
 
@@ -361,8 +362,8 @@ def deterministic_dict(result):
 
 
 ENGINES = {
-    "reference": dict(compressed=False),
-    "compressed": dict(compressed=True),
+    "reference": ReferenceFleetSimulator,
+    "compressed": FleetSimulator,
 }
 
 
@@ -391,12 +392,11 @@ def test_grouped_matches_oracle_through_every_loop(engine):
     )
     outcomes = []
     for oracle in (False, True):
-        sim = FleetSimulator(
+        sim = ENGINES[engine](
             machines,
             policy="interference-aware",
             estimator=estimator(),
             admission=AdmissionController(queue_limit=6),
-            **ENGINES[engine],
         )
         if oracle:
             sim.policy = ReferenceInterferenceAwarePolicy(sim.estimator, sim.tracker)
@@ -444,9 +444,9 @@ def test_compressed_loop_skips_passes_without_a_free_slot():
     outcomes, probes, placements = {}, {}, {}
     for engine in sorted(ENGINES):
         probe = probes[engine] = SlotProbe()
-        sim = FleetSimulator(
+        sim = ENGINES[engine](
             ["desktop-8c", "laptop-4c"], policy=probe, estimator=estimator(),
-            max_corun=1, **ENGINES[engine],
+            max_corun=1,
         )
         result = sim.run(jobs, prewarm=False, faults=plan)
         outcomes[engine] = (deterministic_dict(result), sim.tracker.snapshot())

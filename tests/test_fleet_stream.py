@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from reference_fleet import ReferenceFleetSimulator
 
 from repro.fleet import (
     AdmissionController,
@@ -67,11 +68,10 @@ ADMISSIONS = (
 
 
 def simulate(source, *, policy="first-fit", compressed=True, admission=None, faults=None):
-    sim = FleetSimulator(
+    sim = (FleetSimulator if compressed else ReferenceFleetSimulator)(
         MACHINES,
         policy=policy,
         estimator=fake_estimator(MACHINES),
-        compressed=compressed,
         admission=admission,
     )
     return sim.run(source, prewarm=False, faults=faults)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from reference_step import ReferenceStepSimulator
 
 from repro.baselines.tf_default import UniformPolicy, default_policy, recommended_policy
 from repro.execsim.simulator import StepSimulator
@@ -250,7 +251,7 @@ class _Partitioned:
 
 
 class TestSimulatorEquivalenceAcrossZoo:
-    """StepSimulator(incremental=True) must match the reference on every
+    """StepSimulator must match ReferenceStepSimulator on every
     topology, not just the KNL it was tuned on."""
 
     TOLERANCE = 1e-9
@@ -266,7 +267,7 @@ class TestSimulatorEquivalenceAcrossZoo:
             lambda: UniformPolicy(max(1, machine.num_cores // 2), 2),
             lambda: _Partitioned(),
         ):
-            reference = StepSimulator(machine, incremental=False).run_step(
+            reference = ReferenceStepSimulator(machine).run_step(
                 graph, policy_factory()
             )
             incremental = StepSimulator(machine).run_step(graph, policy_factory())
@@ -279,7 +280,7 @@ class TestSimulatorEquivalenceAcrossZoo:
         """CI runs the suite with REPRO_TEST_MACHINE set per zoo machine."""
         machine = get_machine(ENV_MACHINE)
         graph = synthetic_graph(80, seed=1, width=8)
-        reference = StepSimulator(machine, incremental=False).run_step(
+        reference = ReferenceStepSimulator(machine).run_step(
             graph, recommended_policy(machine)
         )
         incremental = StepSimulator(machine).run_step(

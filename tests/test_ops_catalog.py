@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from reference_step import ReferenceStepSimulator
 
 from repro.baselines.tf_default import recommended_policy
 from repro.execsim.simulator import StepSimulator
@@ -183,7 +184,8 @@ class TestCharacterizationMemo:
         def step_time(op):
             graph = DataflowGraph("one-op")
             graph.add_op(op)
-            simulator = StepSimulator(small_machine, incremental=incremental)
+            simulator_cls = StepSimulator if incremental else ReferenceStepSimulator
+            simulator = simulator_cls(small_machine)
             return simulator.run_step(graph, recommended_policy(small_machine)).step_time
 
         small, large = _conv_with_kernel((1, 1)), _conv_with_kernel((7, 7))

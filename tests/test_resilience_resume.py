@@ -1,6 +1,6 @@
 """Kill-and-resume gates: an interrupted run, resumed, must produce a
-store digest byte-identical to its uninterrupted twin — across loop
-modes, policies, faults and admission, including chained interrupts."""
+store digest byte-identical to its uninterrupted twin — across
+policies, faults and admission, including chained interrupts."""
 
 import dataclasses
 import json
@@ -8,7 +8,7 @@ import pickle
 from unittest import mock
 
 import pytest
-
+from reference_fleet import ReferenceFleetSimulator
 from test_fleet_compression import (
     MACHINES,
     SYN_A,
@@ -77,15 +77,10 @@ MID_SEGMENT = dict(
     machines=("desktop-8c", "desktop-8c", "arm-server-64c"),
 )
 
-MODES = {
-    "reference": dict(compressed=False),
-    "compressed": dict(compressed=True),
-}
+POLICIES = ("first-fit", "interference-aware", "load-balanced")
 
 
-def run_pair(
-    tmp_path, *, policy, mode, interrupt_fraction=0.5, workload=WORKLOAD, inspect=None
-):
+def run_pair(tmp_path, *, policy, interrupt_fraction=0.5, workload=WORKLOAD, inspect=None):
     """Baseline run, interrupted twin, resumed — returns both digests.
 
     ``inspect`` is called with the newest snapshot's loop state before
@@ -93,7 +88,7 @@ def run_pair(
     """
     store = RunStore(tmp_path / "store")
     root = tmp_path / "ck"
-    kw = dict(workload, policy=policy, store=store, **MODES[mode])
+    kw = dict(workload, policy=policy, store=store)
     baseline = run_fleet(**kw)
     want = store.load(baseline.run_id).digest
     interrupt_at = max(1, int(baseline.events_processed * interrupt_fraction))
@@ -110,12 +105,10 @@ def run_pair(
     return want, store.load(resumed.run_id).digest
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-@pytest.mark.parametrize(
-    "policy", ["first-fit", "interference-aware", "load-balanced"]
-)
-def test_resume_is_byte_identical(tmp_path, policy, mode):
-    want, got = run_pair(tmp_path, policy=policy, mode=mode)
+# The ids still name the loop: the reference loop used to checkpoint too.
+@pytest.mark.parametrize("policy", POLICIES, ids=[f"{p}-compressed" for p in POLICIES])
+def test_resume_is_byte_identical(tmp_path, policy):
+    want, got = run_pair(tmp_path, policy=policy)
     assert got == want
 
 
@@ -128,7 +121,6 @@ def test_resume_mid_segment_with_empty_queue(tmp_path, interrupt_fraction):
     want, got = run_pair(
         tmp_path,
         policy="first-fit",
-        mode="compressed",
         interrupt_fraction=interrupt_fraction,
         workload=MID_SEGMENT,
         inspect=mid_segment,
@@ -136,10 +128,24 @@ def test_resume_mid_segment_with_empty_queue(tmp_path, interrupt_fraction):
     assert got == want
 
 
-def test_sharded_snapshot_is_refused(tmp_path):
-    """A run checkpointed by the retired sharded engine does not resume:
-    its manifest's ``sharding`` config is ignored and its ``"sharded"``
-    snapshots fail the loop-mode check."""
+#: Checkpoint modes of retired loops: the manifest config each wrote, and
+#: the extra loop state its snapshots held.
+RETIRED_LOOPS = {
+    "sharded": (
+        {"sharding": {"shards": 2, "backend": "thread"}},
+        dict(momentum=0, shard_members=[[0, 2, 4], [1, 3]], shard_heaps=[[], []]),
+    ),
+    "reference": ({"compressed": False}, {}),
+}
+
+
+@pytest.mark.parametrize("mode", list(RETIRED_LOOPS))
+def test_sharded_snapshot_is_refused(tmp_path, mode):
+    """A run checkpointed by a retired loop — the sharded engine, or the
+    reference loop that ``compressed=False`` used to select — does not
+    resume: its manifest config is ignored and its snapshots fail the
+    loop-mode check."""
+    config, extra_state = RETIRED_LOOPS[mode]
     store = RunStore(tmp_path / "store")
     root = tmp_path / "ck"
     kw = dict(WORKLOAD, policy="first-fit", store=store)
@@ -153,21 +159,31 @@ def test_sharded_snapshot_is_refused(tmp_path):
                 "interrupt_after": baseline.events_processed // 2,
             },
         )
-    # Rewrite the checkpoint the way the sharded engine wrote its own.
+    # Rewrite the checkpoint the way the retired loop wrote its own.
     directory = checkpoint_dir(baseline.run_id, root)
     manifest = directory / "manifest.json"
     body = json.loads(manifest.read_text())
-    body["manifest"]["config"]["sharding"] = {"shards": 2, "backend": "thread"}
+    body["manifest"]["config"].update(config)
     manifest.write_text(json.dumps(body))
     for path in directory.glob("ck-*.pkl"):
         payload = pickle.loads(path.read_bytes())
-        payload["state"].update(
-            mode="sharded", momentum=0, shard_members=[[0, 2, 4], [1, 3]],
-            shard_heaps=[[], []],
-        )
+        payload["state"].update(mode=mode, **extra_state)
         path.write_bytes(pickle.dumps(payload))
-    with pytest.raises(CheckpointError, match="'sharded' loop"):
+    with pytest.raises(CheckpointError, match=f"'{mode}' loop"):
         resume_fleet(baseline.run_id, root=root, store=store)
+
+
+def test_run_id_is_pinned(tmp_path):
+    """The fleet config still records ``"compressed": True``, so run ids
+    and checkpoint manifests of earlier runs keep resolving."""
+    store = RunStore(tmp_path)
+    outcome = run_fleet(
+        num_jobs=4, machines=("desktop-8c", "laptop-4c"), policy="first-fit", store=store
+    )
+    assert outcome.run_id == (
+        "d2d31538eba9adc9ad234516dd850ad2ae87cd55f576f6dea608911acffa0630"
+    )
+    assert store.get(outcome.run_id).config["compressed"] is True
 
 
 def test_version_two_snapshot_is_refused(tmp_path):
@@ -249,13 +265,12 @@ def test_resume_mid_corun_segment_keeps_busy_time_bits(tmp_path, interrupt_after
     per-machine ``busy_time`` and ``utilization`` equal, bit for bit,
     the uninterrupted run's and the reference loop's."""
 
-    def simulator(compressed=True):
-        return FleetSimulator(
+    def simulator(simulator_cls=FleetSimulator):
+        return simulator_cls(
             CORUN_MACHINES,
             policy="first-fit",
             estimator=machine_pair_estimator(CORUN_MACHINES),
             max_corun=2,
-            compressed=compressed,
         )
 
     def bits(result):
@@ -263,7 +278,7 @@ def test_resume_mid_corun_segment_keeps_busy_time_bits(tmp_path, interrupt_after
             (m.busy_time.hex(), m.utilization.hex()) for m in result.machine_reports
         ]
 
-    reference = simulator(compressed=False).run(CORUN_JOBS, prewarm=False)
+    reference = simulator(ReferenceFleetSimulator).run(CORUN_JOBS, prewarm=False)
     baseline = simulator().run(CORUN_JOBS, prewarm=False)
     config = CheckpointConfig(interval=1, root=tmp_path)
     with mock.patch.object(checkpoint_module, "_CAN_FORK", False):
@@ -294,7 +309,7 @@ def test_double_interrupt_chained_resume(tmp_path):
     """Interrupt at 1/3, resume, interrupt again at 2/3, resume to the end."""
     store = RunStore(tmp_path / "store")
     root = tmp_path / "ck"
-    kw = dict(WORKLOAD, policy="interference-aware", store=store, compressed=True)
+    kw = dict(WORKLOAD, policy="interference-aware", store=store)
     baseline = run_fleet(**kw)
     want = store.load(baseline.run_id).digest
     total = baseline.events_processed

@@ -10,6 +10,7 @@ machines whose tiles hold a single core (``laptop-4c``, ``desktop-8c``).
 from __future__ import annotations
 
 import pytest
+from reference_step import ReferenceStepSimulator
 
 from repro.core.config import RuntimeConfig
 from repro.core.oracle import OraclePerformanceModel
@@ -95,7 +96,7 @@ class TestSingleCoreTileMachines:
         fast = StepSimulator(machine).run_step(
             graph, RuntimeSchedulerPolicy(oracle, config)
         )
-        reference = StepSimulator(machine, incremental=False).run_step(
+        reference = ReferenceStepSimulator(machine).run_step(
             graph, RuntimeSchedulerPolicy(oracle, config)
         )
         assert fast.step_time == pytest.approx(reference.step_time, rel=1e-9)
