@@ -19,26 +19,24 @@ help:
 	@echo "                   step simulator (FUZZ_EXAMPLES random runs each,"
 	@echo "                   default 3000)"
 	@echo "make bench       - quick perf tier: simulator fast-path benchmark"
-	@echo "                   (equivalence + speedup gates), updates"
-	@echo "                   BENCH_simulator.json"
-	@echo "make experiments - quick perf tier: experiment-layer sweep engine,"
-	@echo "                   updates BENCH_experiments.json"
+	@echo "                   (equivalence + speedup gates)"
+	@echo "make experiments - quick perf tier: experiment-layer sweep engine"
+	@echo "                   (identical reports + warm speedup gates)"
 	@echo "make fleet       - fleet-scheduling benchmark (policy makespans +"
-	@echo "                   determinism/compression gates), updates BENCH_fleet.json"
+	@echo "                   determinism/compression/warm-time gates)"
 	@echo "make fleet-large - large-trace fleet benchmark (1,000-job round-"
-	@echo "                   compression speedup gate + 5,000-job smoke)"
+	@echo "                   compression speedup gate)"
 	@echo "make fleet-faults- fault-injection benchmark (canonical fault plan:"
 	@echo "                   equivalence + monotonicity gates)"
 	@echo "make fleet-stream- open-loop streaming benchmark (overload/admission"
 	@echo "                   gates + the 1,000,000-job compressed smoke)"
 	@echo "make fleet-xxl   - thousand-machine benchmark (100k jobs / 1,000 machines:"
-	@echo "                   determinism + wall-time trend gates)"
+	@echo "                   determinism + cold wall-time gates)"
 	@echo "make chaos       - resilience suite: checkpoint-overhead, kill-and-"
-	@echo "                   resume and cache-rot gates, updates the"
-	@echo "                   resilience section of BENCH_fleet.json"
-	@echo "make report      - fleet smoke benchmark recorded into .run_store, then"
-	@echo "                   regenerate the BENCH_fleet.json section from the store"
-	@echo "                   and fail on drift"
+	@echo "                   resume and cache-rot gates"
+	@echo "make report      - fleet smoke benchmark recorded into .run_store (fails"
+	@echo "                   unless every stored run replays to its live digest),"
+	@echo "                   then verify and list the store"
 	@echo "make bench-full  - every benchmark (paper tables/figures reproduction)"
 
 test:
@@ -61,7 +59,6 @@ fleet-faults:
 
 fleet-large:
 	$(PYTHON) -m benchmarks.fleet_bench --suite large
-	$(PYTHON) -m benchmarks.fleet_bench --suite xl
 
 fleet-stream:
 	$(PYTHON) -m benchmarks.fleet_bench --suite stream
@@ -74,7 +71,7 @@ chaos:
 
 report:
 	REPRO_STORE_DIR=.run_store $(PYTHON) -m benchmarks.fleet_bench --suite smoke
-	REPRO_STORE_DIR=.run_store $(PYTHON) -m repro report bench fleet-smoke --check
+	REPRO_STORE_DIR=.run_store $(PYTHON) -m repro report verify
 	REPRO_STORE_DIR=.run_store $(PYTHON) -m repro report list
 
 bench-full:

@@ -2,5 +2,6 @@
 
 ``pytest benchmarks/ --benchmark-only`` reproduces the paper's tables
 and figures; ``python -m benchmarks`` runs the quick simulator
-performance tier and updates ``BENCH_simulator.json`` at the repo root.
+performance tier and gates its equivalence and speedups.  No benchmark
+writes a tracked file; ``perfbench/`` is the timing harness of record.
 """

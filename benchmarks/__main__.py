@@ -1,12 +1,12 @@
 """Run the quick benchmark tiers: ``python -m benchmarks``.
 
 ``--suite simulator`` (the default) runs the simulator fast-path
-benchmark and writes ``BENCH_simulator.json``; ``--suite experiments``
-runs the experiment-layer sweep-engine benchmark and writes
-``BENCH_experiments.json``; ``--suite fleet`` runs the fleet-scheduling
-benchmark and writes ``BENCH_fleet.json``; ``--suite all`` runs every
-tier.  Exits non-zero when any equivalence, determinism or speedup gate
-fails, so each tier can serve as a CI step.
+benchmark; ``--suite experiments`` runs the experiment-layer
+sweep-engine benchmark; ``--suite fleet`` runs the fleet-scheduling
+smoke benchmark; ``--suite all`` runs every tier.  Each prints its
+report and writes no file.  Exits non-zero when any equivalence,
+determinism, speedup or wall-time gate fails, so each tier can serve as
+a CI step.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from benchmarks.simulator_bench import (
     SPEEDUP_GATE,
     format_report,
     run_simulator_benchmark,
-    write_bench_json,
 )
 
 
@@ -57,16 +56,6 @@ def _simulator_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 f"serial-recommendation speedup {serial}x: the fast path is "
                 "slower than the reference"
             )
-    canonical = (
-        args.ops == BENCH_NUM_OPS
-        and args.seed == BENCH_SEED
-        and args.machine == BENCH_MACHINE
-    )
-    if not args.no_write and canonical:
-        path = write_bench_json(report)
-        print(f"wrote {path}")
-    elif not args.no_write:
-        print("non-canonical workload; BENCH_simulator.json left untouched")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -76,7 +65,7 @@ def _simulator_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks",
-        description="Quick perf tiers (write BENCH_simulator.json / BENCH_experiments.json)",
+        description="Quick perf tiers (print each report and gate it)",
     )
     parser.add_argument(
         "--suite",
@@ -92,14 +81,9 @@ def main(argv: list[str] | None = None) -> int:
         default=BENCH_MACHINE,
         metavar="NAME",
         help="machine-zoo topology to simulate on (default: the KNL "
-        "baseline; BENCH json is only rewritten for the canonical machine)",
+        "baseline; the speedup gates apply to it alone)",
     )
     parser.add_argument("--jobs", type=int, default=None, help="experiment-suite worker count")
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print the report without updating the BENCH json files",
-    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -130,8 +114,6 @@ def main(argv: list[str] | None = None) -> int:
     passthrough_args = []
     if args.jobs is not None:
         passthrough_args += ["--jobs", str(args.jobs)]
-    if args.no_write:
-        passthrough_args += ["--no-write"]
 
     status = 0
     if args.suite in ("simulator", "all"):

@@ -21,23 +21,18 @@ Two gates are enforced:
   bit-identical to serial);
 * **speedup** — serial-cold / process-warm wall clock ≥ 3×.
 
-Results are written to ``BENCH_experiments.json`` so the repo's
-performance trajectory is tracked in version control.
+``python -m benchmarks --suite experiments`` prints the report and gates
+it; it writes no file.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import tempfile
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 from repro.experiments.cli import _run_one
 from repro.sweep import SweepCache, SweepExecutor
-from repro.version import __version__
 
 #: Required end-to-end speedup of a warm-cache process-backend run over
 #: the serial, uncached baseline (the hard acceptance gate).
@@ -48,8 +43,6 @@ SPEEDUP_GATE = 3.0
 #: co-run simulation (table3), policy grids (table1), hill-climbing
 #: profiling + ground truth (table5) and the full strategy ladder (fig3).
 BENCH_EXPERIMENTS: tuple[str, ...] = ("fig1", "table2", "table3", "table1", "table5", "fig3")
-
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_experiments.json"
 
 
 def _run_phase(
@@ -90,9 +83,6 @@ def run_experiments_benchmark(
     )
     return {
         "benchmark": "experiments-sweep-engine",
-        "generated": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "version": __version__,
-        "python": platform.python_version(),
         "workload": {
             "experiments": list(names),
             "reduced": True,
@@ -119,11 +109,6 @@ def run_experiments_benchmark(
         "reports_identical": not mismatched,
         "mismatched_experiments": mismatched,
     }
-
-
-def write_bench_json(report: dict, path: Path = BENCH_JSON) -> Path:
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path
 
 
 def format_report(report: dict) -> str:
@@ -171,23 +156,15 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.experiments_bench",
-        description="Quick experiment-layer perf tier (writes BENCH_experiments.json)",
+        description="Quick experiment-layer perf tier (prints the report and gates)",
     )
     parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print the report without updating BENCH_experiments.json",
-    )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be at least 1")
 
     report = run_experiments_benchmark(jobs=args.jobs)
     print(format_report(report))
-    if not args.no_write:
-        path = write_bench_json(report)
-        print(f"wrote {path}")
 
     failures = check_gates(report)
     for failure in failures:

@@ -1,6 +1,7 @@
 """The fleet-layer benchmark: policy makespans, compression, determinism.
 
-Three suites, all writing into ``BENCH_fleet.json``:
+Six suites, each printing its report and exiting non-zero when a gate
+fails; none writes a file:
 
 * ``smoke`` (default, ``make fleet``) — replays the canonical fleet
   workload — a 50-job trace (arrival seed 42) over the five-machine
@@ -17,34 +18,27 @@ Three suites, all writing into ``BENCH_fleet.json``:
     outcomes for every policy;
   - **placement quality** — the interference-aware policy must beat the
     first-fit baseline's makespan on this trace;
-  - **warm trend** — ``warm_seconds`` must not regress more than 2x
-    against the committed ``BENCH_fleet.json`` baseline (ignored below
-    a 50 ms noise floor).
+  - **warm bound** — every policy's ``warm_seconds`` must stay within
+    :data:`SMOKE_WARM_BOUND_SECONDS`;
+  - **store replay** — with a run store (``make report``), every
+    recorded first run must read back and rebuild to the live run's
+    digest.
 
 * ``large`` (``make fleet-large``) — a 1,000-job / 50-machine trace of
-  long-running jobs (600-1800 training steps each — the regime the
+  long-running jobs (900-2,700 training steps each — the regime the
   round-compression fast path exists for), run through both simulator
-  paths under the first-fit policy (no policy overhead, so the gate
-  isolates simulator cost), enforcing byte-identical outcomes and a
-  **>= 10x cold speedup** of the compressed path.
+  paths under the load-balanced and first-fit policies, enforcing
+  byte-identical outcomes and a **>= 10x cold speedup** of the
+  compressed path on the load-balanced run (no co-run rounds, so the
+  gate isolates event-loop cost).
 
-* ``xl`` (part of ``make fleet-large``) — a 5,000-job / 100-machine
-  compressed-only smoke proving datacenter-scale traces stay
-  interactive; records wall time, no reference baseline (the seed path
-  would take minutes).
-
-* ``xxl`` (``make fleet-xxl``) — the thousand-machine suite, writing the
-  ``sharding`` section (named for the engine it used to time): a
+* ``xxl`` (``make fleet-xxl``) — the thousand-machine suite: a
   100,000-job / 1,000-machine open-loop stream through the compressed
   path, timed cold twice (best of 2), enforcing:
 
   - **determinism** — the two runs' outcomes must be byte-identical;
-  - **trend** — the wall time must not regress more than 2.5x against
-    the committed baseline (60 s noise floor: the committed numbers
-    come from whatever machine last regenerated the file).  A file
-    written before the boundary calendar holds the retired sharded
-    engine's time there, so the calendar has to keep that engine's
-    speed.
+  - **cold bound** — the best wall time must stay within
+    :data:`XXL_COLD_BOUND_SECONDS`.
 
 * ``faults`` (``make fleet-faults``) — replays the canonical 50-job
   trace under a fixed fault plan (a straggler window, a preemption, a
@@ -57,26 +51,24 @@ Three suites, all writing into ``BENCH_fleet.json``:
     fault-free makespan for every policy (faults destroy work, they
     never create it).
 
-  Results land in the ``fault_injection`` section of
-  ``BENCH_fleet.json``.
-
-* ``stream`` (``make fleet-stream``) — the open-loop admission suite,
-  writing the ``streaming`` section:
+* ``stream`` (``make fleet-stream``) — the open-loop admission suite:
 
   - **sustained overload** — a 600-job Poisson stream offered ~6x the
     fleet's service rate with a bounded queue, enforcing that the
     queue depth never exceeds the limit, that every offered job is
     accounted for (``completions + failures + rejections == offered``),
-    that the controller actually shed work, and that the rerun is
-    byte-identical;
+    that the controller actually shed work, that the rerun is
+    byte-identical and that its ``warm_seconds`` stays within
+    :data:`STREAM_WARM_BOUND_SECONDS`;
   - **streamed == materialised** — the same overload trace run four
     ways (compressed/reference x streamed/pre-materialised), with and
     without a fault plan, must produce byte-identical outcomes;
   - **million-job smoke** — a 1,000,000-job stream through the
     compressed path with admission control, proving the lazy pull
-    never materialises the trace and completes in bounded memory;
-  - **trend** — the overload leg's wall time must not regress more
-    than 2x against the committed baseline (same floor as ``smoke``).
+    never materialises the trace and completes in bounded memory.
+
+* ``resilience`` (``make chaos``) — checkpoint overhead, kill-and-resume
+  and cache rot (see :func:`run_resilience_benchmark`).
 """
 
 from __future__ import annotations
@@ -84,22 +76,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 from repro.api import DEFAULT_FLEET
 from repro.fleet import FleetSimulator, StepTimeEstimator, generate_trace
-from repro.fleet.simulator import OVERHEAD_KEYS
+from repro.fleet.simulator import OVERHEAD_KEYS, FleetResult
 from repro.scenarios import Workload
 from repro.store import record_run, resolve_store
-from repro.store.reporting import merge_bench_report, render_bench_json
 from repro.sweep import SweepCache, SweepExecutor
-from repro.version import __version__
 from tests.reference_fleet import ReferenceFleetSimulator
 
 #: The canonical benchmark workload.
@@ -136,10 +123,6 @@ LARGE_GATED_POLICY = "load-balanced"
 #: The compressed path must beat the reference path by this much (cold).
 LARGE_SPEEDUP_GATE = 10.0
 
-XL_NUM_JOBS = 5000
-XL_MACHINES: tuple[str, ...] = DEFAULT_FLEET * 20
-XL_INTERARRIVAL = 54.0
-
 #: The ``xxl`` suite: the ROADMAP's 100k-job / 1,000-machine target,
 #: streamed open-loop (the trace is never materialised) through the
 #: compressed path.  Short jobs at a high arrival rate (~50% fleet
@@ -153,11 +136,6 @@ XXL_MACHINES: tuple[str, ...] = DEFAULT_FLEET * 200
 XXL_SEED = 42
 XXL_INTERARRIVAL = 0.02
 XXL_MIN_STEPS, XXL_MAX_STEPS = 3, 10
-#: The xxl trend gate is cross-machine like the smoke one, but the legs
-#: run minutes, not milliseconds — a generous factor and floor keep it
-#: an algorithmic-regression tripwire rather than a hardware lottery.
-XXL_TREND_FACTOR = 2.5
-XXL_TREND_FLOOR_SECONDS = 60.0
 
 #: The ``stream`` suite's sustained-overload leg: a Poisson stream
 #: offered well past the five-machine fleet's service rate (the smoke
@@ -204,12 +182,13 @@ BENCH_FAULT_PLAN: dict = {
     ],
 }
 
-#: The ``resilience`` suite (``make chaos``): checkpoint overhead on an
-#: xl-scale open-loop stream, a kill-and-resume smoke, and a seeded
-#: cache-rot leg over the sweep cache.  The overhead gate is self-relative
-#: (checkpointed vs plain warm time on the same host), so no
-#: cross-machine floor is needed.
-RESILIENCE_NUM_JOBS = 4 * XL_NUM_JOBS
+#: The ``resilience`` suite (``make chaos``): checkpoint overhead on a
+#: 20,000-job / 100-machine open-loop stream, a kill-and-resume smoke,
+#: and a seeded cache-rot leg over the sweep cache.  The overhead gate is
+#: self-relative (checkpointed vs plain warm time on the same host), so
+#: no cross-machine floor is needed.
+RESILIENCE_NUM_JOBS = 20_000
+RESILIENCE_MACHINES: tuple[str, ...] = DEFAULT_FLEET * 20
 RESILIENCE_INTERARRIVAL = 0.1
 RESILIENCE_MIN_STEPS, RESILIENCE_MAX_STEPS = 3, 10
 RESILIENCE_QUEUE_LIMIT = 200
@@ -233,16 +212,19 @@ RESILIENCE_OVERHEAD_REPS = 5
 #: The cache-rot leg's seed (see tests/cache_rot.py).
 CHAOS_SEED = 7
 
-#: Trend gate: warm reruns must not get more than 2x slower than the
-#: committed baseline.  The committed numbers come from whatever
-#: machine last regenerated BENCH_fleet.json, so the floor is generous
-#: (0.25 s vs the ~10 ms healthy warm time): the check is an
-#: order-of-magnitude tripwire for algorithmic regressions on the warm
-#: path, not a cross-machine micro-benchmark.
-TREND_FACTOR = 2.0
-TREND_FLOOR_SECONDS = 0.25
-
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
+#: Wall-time bounds: order-of-magnitude tripwires for algorithmic
+#: regressions, not cross-machine micro-benchmarks.  Each replaces a gate
+#: that failed iff ``new > max(floor, factor * committed)`` against a
+#: baseline file kept in the repository; the constants are what those
+#: gates evaluated to against the last committed baselines:
+#:
+#: - smoke ``warm_seconds``, each policy: max(0.25, 2 x {0.0066, 0.0087,
+#:   0.0149}) = 0.25;
+#: - stream overload ``warm_seconds``: max(0.25, 2 x 0.1964) = 0.3928;
+#: - xxl ``cold_seconds``: max(60, 2.5 x 12.3721) = 60.
+SMOKE_WARM_BOUND_SECONDS = 0.25
+STREAM_WARM_BOUND_SECONDS = 0.3928
+XXL_COLD_BOUND_SECONDS = 60.0
 
 
 def _digest(result) -> str:
@@ -265,12 +247,10 @@ def run_fleet_benchmark(
 
     With a run store active (``store=``, or ``$REPRO_STORE_DIR``), each
     policy's first run is recorded as a ``fleet`` record (full history,
-    digest excluding overhead) plus one ``bench``/``fleet-smoke`` section
-    record linking them — ``python -m repro report bench fleet-smoke``
-    regenerates the committed section from these without re-simulating.
-    Recording happens whether or not the gates pass; the stored section
-    always describes the *latest* run, the committed file the last one
-    that passed.
+    digest excluding overhead), read back and rebuilt through
+    ``FleetResult.from_dict``; ``store_replay_identical`` maps each policy
+    to whether the rebuilt run's digest equals the live run's (``False``
+    when the run could not be recorded).  Without a store it is empty.
     """
     jobs = jobs or os.cpu_count() or 1
     trace = generate_trace(num_jobs, seed=arrival_seed)
@@ -336,9 +316,6 @@ def run_fleet_benchmark(
     aware = report_policies.get("interference-aware", {}).get("makespan")
     report = {
         "benchmark": "fleet-scheduling",
-        "generated": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "version": __version__,
-        "python": platform.python_version(),
         "workload": {
             "num_jobs": num_jobs,
             "arrival_seed": arrival_seed,
@@ -356,6 +333,7 @@ def run_fleet_benchmark(
         "interference_beats_first_fit": (
             aware < first_fit if aware is not None and first_fit is not None else None
         ),
+        "store_replay_identical": {},
     }
     resolved = resolve_store(store)
     if resolved is not None:
@@ -365,7 +343,6 @@ def run_fleet_benchmark(
             "arrival_seed": arrival_seed,
             "machines": list(machines),
         }
-        run_ids: dict[str, str] = {}
         for policy in policies:
             run_id = record_run(
                 resolved,
@@ -376,16 +353,10 @@ def run_fleet_benchmark(
                 digest_excludes=OVERHEAD_KEYS,
                 extras={"bench_row": report_policies[policy]},
             )
-            if run_id is not None:
-                run_ids[policy] = run_id
-        record_run(
-            resolved,
-            "bench",
-            "fleet-smoke",
-            config={**workload_config, "policies": list(policies)},
-            payload=report,
-            extras={"runs": run_ids},
-        )
+            report["store_replay_identical"][policy] = run_id is not None and (
+                _digest(FleetResult.from_dict(resolved.get(run_id).payload))
+                == _digest(first_results[policy])
+            )
     return report
 
 
@@ -459,44 +430,6 @@ def run_large_benchmark(
     }
 
 
-def run_xl_smoke(
-    *,
-    num_jobs: int = XL_NUM_JOBS,
-    machines: tuple[str, ...] = XL_MACHINES,
-    seed: int = LARGE_SEED,
-) -> dict:
-    """Compressed-only 5,000-job / 100-machine smoke (no seed baseline)."""
-    trace = generate_trace(
-        num_jobs,
-        seed=seed,
-        workloads=LARGE_JOB_MIX,
-        min_steps=LARGE_MIN_STEPS,
-        max_steps=LARGE_MAX_STEPS,
-        mean_interarrival=XL_INTERARRIVAL,
-    )
-    simulator = FleetSimulator(
-        machines, policy="first-fit", estimator=StepTimeEstimator()
-    )
-    start = time.perf_counter()
-    result = simulator.run(trace)
-    seconds = time.perf_counter() - start
-    return {
-        "workload": {
-            "num_jobs": num_jobs,
-            "machines": len(machines),
-            "steps": [LARGE_MIN_STEPS, LARGE_MAX_STEPS],
-            "mean_interarrival": XL_INTERARRIVAL,
-            "seed": seed,
-            "policy": "first-fit",
-        },
-        "cold_seconds": round(seconds, 4),
-        "events_processed": result.events_processed,
-        "total_rounds": sum(m.rounds for m in result.machine_reports),
-        "completions": len(result.completions),
-        "makespan": result.makespan,
-    }
-
-
 def run_xxl_benchmark(
     *,
     num_jobs: int = XXL_NUM_JOBS,
@@ -523,7 +456,7 @@ def run_xxl_benchmark(
 
     # Best-of-2 (each fully cold: fresh estimator), for the same reason
     # as the large suite: one scheduling hiccup on a shared host must
-    # not trip the trend gate.
+    # not trip the cold bound.
     runs = []
     for _ in range(2):
         simulator = FleetSimulator(
@@ -566,7 +499,8 @@ def format_xxl_report(report: dict) -> str:
             f"fleet XXL benchmark — {workload['num_jobs']} jobs "
             f"streamed over {workload['machines']} machines "
             f"({report['cores']} cores)",
-            f"  default engine: {engine['cold_seconds']:>8.2f}s cold (best of 2), "
+            f"  default engine: {engine['cold_seconds']:>8.2f}s cold (best of 2, "
+            f"bound {XXL_COLD_BOUND_SECONDS:g}s), "
             f"{engine['events_processed']} events for "
             f"{engine['total_rounds']} rounds, "
             f"{engine['completions']} completions",
@@ -577,34 +511,16 @@ def format_xxl_report(report: dict) -> str:
 
 def check_xxl_gates(report: dict) -> list[str]:
     """The failed-gate messages of one xxl-suite report (empty = pass)."""
+    failures = []
     if not report["identical"]:
-        return ["xxl: two runs of the same stream produced different outcomes"]
-    return []
-
-
-def check_xxl_trend(report: dict, baseline_path: Path = BENCH_JSON) -> list[str]:
-    """Wall-time regressions vs the committed ``sharding`` section.
-
-    A section written before the sharded engine was retired has no
-    ``engine`` leg; its ``sharded`` leg is the time to keep.
-    """
-    if not baseline_path.exists():
-        return []
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return []
-    section = baseline.get("sharding", {})
-    old = section.get("engine", section.get("sharded", {})).get("cold_seconds")
-    new = report.get("engine", {}).get("cold_seconds")
-    if old is None or new is None:
-        return []
-    if new > XXL_TREND_FLOOR_SECONDS and new > XXL_TREND_FACTOR * old:
-        return [
-            f"xxl cold_seconds regressed {old:.1f}s -> {new:.1f}s "
-            f"(more than {XXL_TREND_FACTOR:g}x the committed baseline)"
-        ]
-    return []
+        failures.append("xxl: two runs of the same stream produced different outcomes")
+    seconds = report["engine"]["cold_seconds"]
+    if seconds > XXL_COLD_BOUND_SECONDS:
+        failures.append(
+            f"xxl: cold_seconds {seconds:.1f}s exceeds the "
+            f"{XXL_COLD_BOUND_SECONDS:g}s bound"
+        )
+    return failures
 
 
 def run_faults_benchmark(
@@ -870,7 +786,8 @@ def format_stream_report(report: dict) -> str:
         f"{overload['rejections']} shed ({overload['shed_rate']:.0%}), "
         f"peak queue {overload['peak_queue_depth']}, "
         f"p99 wait {overload['p99_wait']:.2f}s, "
-        f"{overload['seconds']:.2f}s wall",
+        f"{overload['seconds']:.2f}s wall, {overload['warm_seconds']:.2f}s warm "
+        f"(bound {STREAM_WARM_BOUND_SECONDS:g}s)",
         f"  gates    : depth bounded {overload['depth_bounded']}, "
         f"accounting exact {overload['accounting_exact']}, "
         f"shed nonzero {overload['shed_nonzero']}, "
@@ -905,6 +822,11 @@ def check_stream_gates(report: dict) -> list[str]:
         )
     if not overload["rerun_identical"]:
         failures.append("streaming: overload rerun diverged for fixed inputs")
+    if overload["warm_seconds"] > STREAM_WARM_BOUND_SECONDS:
+        failures.append(
+            f"streaming: overload warm_seconds {overload['warm_seconds']:.4f}s "
+            f"exceeds the {STREAM_WARM_BOUND_SECONDS:g}s bound"
+        )
     for label, identical in report["equivalence"].items():
         if not identical:
             failures.append(
@@ -913,53 +835,6 @@ def check_stream_gates(report: dict) -> list[str]:
             )
     if not report["million_smoke"]["accounting_exact"]:
         failures.append("streaming: million-job smoke lost jobs")
-    return failures
-
-
-def check_stream_trend(report: dict, baseline_path: Path = BENCH_JSON) -> list[str]:
-    """Wall-time regressions of the overload leg vs the committed baseline."""
-    if not baseline_path.exists():
-        return []
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return []
-    old = baseline.get("streaming", {}).get("overload", {}).get("warm_seconds")
-    new = report.get("overload", {}).get("warm_seconds")
-    if old is None or new is None:
-        return []
-    if new > TREND_FLOOR_SECONDS and new > TREND_FACTOR * old:
-        return [
-            f"streaming overload warm_seconds regressed {old:.4f}s -> {new:.4f}s "
-            f"(more than {TREND_FACTOR:g}x the committed baseline)"
-        ]
-    return []
-
-
-def check_trend(report: dict, baseline_path: Path = BENCH_JSON) -> list[str]:
-    """Warm-time regressions vs the committed baseline (empty = pass).
-
-    Compares each policy's ``warm_seconds`` against the committed
-    ``BENCH_fleet.json``; more than :data:`TREND_FACTOR` slower fails.
-    Times below :data:`TREND_FLOOR_SECONDS` are noise and never fail.
-    """
-    if not baseline_path.exists():
-        return []
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return []
-    failures = []
-    for policy, phase in report.get("policies", {}).items():
-        old = baseline.get("policies", {}).get(policy, {}).get("warm_seconds")
-        new = phase.get("warm_seconds")
-        if old is None or new is None:
-            continue
-        if new > TREND_FLOOR_SECONDS and new > TREND_FACTOR * old:
-            failures.append(
-                f"{policy}: warm_seconds regressed {old:.4f}s -> {new:.4f}s "
-                f"(more than {TREND_FACTOR:g}x the committed baseline)"
-            )
     return failures
 
 
@@ -986,7 +861,7 @@ def _overhead_probe(order: str) -> dict:
 
     def simulate(checkpoint=None):
         simulator = FleetSimulator(
-            XL_MACHINES,
+            RESILIENCE_MACHINES,
             policy="first-fit",
             estimator=estimator,
             admission=admission,
@@ -1032,7 +907,7 @@ def _overhead_probe(order: str) -> dict:
 def run_resilience_benchmark(
     *,
     num_jobs: int = RESILIENCE_NUM_JOBS,
-    machines: tuple[str, ...] = XL_MACHINES,
+    machines: tuple[str, ...] = RESILIENCE_MACHINES,
 ) -> dict:
     """The resilience suite: checkpoint overhead, kill-resume, cache rot."""
     from repro.fleet import PoissonArrivals
@@ -1191,38 +1066,6 @@ def check_resilience_gates(report: dict) -> list[str]:
     return failures
 
 
-def _record_section(store, name: str, payload: dict) -> None:
-    """Record a non-smoke suite's BENCH section under a constant identity.
-
-    The config is just the section name, so re-running a suite overwrites
-    its stored section and ``python -m repro report bench <name>`` always
-    regenerates from the latest run.
-    """
-    if store is None:
-        return
-    record_run(store, "bench", name, config={"section": name}, payload=payload)
-
-
-def write_bench_json(report: dict, path: Path = BENCH_JSON) -> Path:
-    """Write (or merge) a benchmark report into ``BENCH_fleet.json``.
-
-    Suites write disjoint sections; running only ``large``/``xl`` keeps
-    the committed smoke numbers and vice versa (the nested
-    ``round_compression`` section merges per sub-report too, so the
-    ``large`` suite does not clobber a committed ``xl_smoke``).
-    """
-    existing = {}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            existing = {}
-    # The merge/render semantics live in repro.store.reporting so that
-    # `python -m repro report bench` regenerates byte-identical files.
-    path.write_text(render_bench_json(merge_bench_report(report, existing)))
-    return path
-
-
 def format_report(report: dict) -> str:
     workload = report["workload"]
     lines = [
@@ -1248,6 +1091,12 @@ def format_report(report: dict) -> str:
         f"compressed == reference: {report['compression_equivalent']}; "
         f"interference-aware beats first-fit: {report['interference_beats_first_fit']}"
     )
+    replay = report["store_replay_identical"]
+    if replay:
+        lines.append(
+            "stored runs replay to the live digests: "
+            + ", ".join(f"{policy} {identical}" for policy, identical in replay.items())
+        )
     return "\n".join(lines)
 
 
@@ -1277,16 +1126,6 @@ def format_large_report(report: dict) -> str:
             f"byte-identical outcomes: {phase['identical']}",
         ]
     return "\n".join(lines)
-
-
-def format_xl_report(report: dict) -> str:
-    workload = report["workload"]
-    return (
-        f"fleet XL smoke — {workload['num_jobs']} jobs over "
-        f"{workload['machines']} machines: {report['cold_seconds']:.2f}s, "
-        f"{report['events_processed']} events for {report['total_rounds']} "
-        f"rounds, {report['completions']} completions"
-    )
 
 
 def check_gates(report: dict) -> list[str]:
@@ -1319,6 +1158,17 @@ def check_gates(report: dict) -> list[str]:
             "beat first-fit "
             f"{report['policies']['first-fit']['makespan']:.2f}s"
         )
+    for policy, phase in report["policies"].items():
+        if phase["warm_seconds"] > SMOKE_WARM_BOUND_SECONDS:
+            failures.append(
+                f"{policy}: warm_seconds {phase['warm_seconds']:.4f}s exceeds the "
+                f"{SMOKE_WARM_BOUND_SECONDS:g}s bound"
+            )
+    for policy, identical in report["store_replay_identical"].items():
+        if not identical:
+            failures.append(
+                f"{policy}: the stored run does not replay to the live run's digest"
+            )
     return failures
 
 
@@ -1344,26 +1194,21 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.fleet_bench",
-        description="Fleet-layer benchmark (writes BENCH_fleet.json)",
+        description="Fleet-layer benchmark (prints each suite's report and gates)",
     )
     parser.add_argument(
         "--suite",
-        choices=("smoke", "large", "xl", "xxl", "faults", "stream", "resilience", "all"),
+        choices=("smoke", "large", "xxl", "faults", "stream", "resilience", "all"),
         default="smoke",
         help="smoke: canonical 50-job gates; large: 1,000-job round-"
-        "compression speedup gate; xl: 5,000-job compressed smoke; "
-        "xxl: 100k-job / 1,000-machine determinism and trend gates; "
+        "compression speedup gate; "
+        "xxl: 100k-job / 1,000-machine determinism and cold-time gates; "
         "faults: canonical-fault-plan equivalence gates; stream: "
         "open-loop overload/admission gates incl. the 1M-job smoke; "
         "resilience: checkpoint-overhead, kill-resume and cache-rot "
         "gates (make chaos)",
     )
     parser.add_argument("--jobs", type=int, default=None, help="sweep-engine worker count")
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print the report without updating BENCH_fleet.json",
-    )
     parser.add_argument(
         "--overhead-probe",
         choices=("plain-first", "ckpt-first"),
@@ -1374,7 +1219,8 @@ def main(argv: list[str] | None = None) -> int:
         "--store",
         default=None,
         metavar="DIR",
-        help="record runs into this run store (default: $REPRO_STORE_DIR when set)",
+        help="record the smoke suite's runs into this run store and check "
+        "that they replay (default: $REPRO_STORE_DIR when set)",
     )
     args = parser.parse_args(argv)
     if args.overhead_probe is not None:
@@ -1382,64 +1228,34 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    # --store DIR forces recording there; otherwise $REPRO_STORE_DIR (when
-    # set and not disabled) provides the store, and None disables recording.
-    store = resolve_store(args.store)
 
     failures: list[str] = []
-    payload: dict = {}
     if args.suite in ("smoke", "all"):
-        report = run_fleet_benchmark(jobs=args.jobs, store=store)
+        # --store DIR records there; otherwise $REPRO_STORE_DIR (when set
+        # and not disabled) provides the store, and None records nothing.
+        report = run_fleet_benchmark(jobs=args.jobs, store=args.store)
         print(format_report(report))
         failures += check_gates(report)
-        failures += check_trend(report)
-        payload.update(report)
     if args.suite in ("large", "all"):
         large = run_large_benchmark()
         print(format_large_report(large))
         failures += check_large_gates(large)
-        payload["round_compression"] = {"large": large}
-        _record_section(store, "fleet-large", {"round_compression": {"large": large}})
-    if args.suite in ("xl", "all"):
-        xl = run_xl_smoke()
-        print(format_xl_report(xl))
-        payload.setdefault("round_compression", {})["xl_smoke"] = xl
-        _record_section(store, "fleet-xl", {"round_compression": {"xl_smoke": xl}})
     if args.suite in ("xxl", "all"):
         xxl = run_xxl_benchmark()
         print(format_xxl_report(xxl))
         failures += check_xxl_gates(xxl)
-        failures += check_xxl_trend(xxl)
-        payload["sharding"] = xxl
-        _record_section(store, "fleet-xxl", {"sharding": xxl})
     if args.suite in ("faults", "all"):
         faults_report = run_faults_benchmark()
         print(format_faults_report(faults_report))
         failures += check_faults_gates(faults_report)
-        payload["fault_injection"] = faults_report
-        _record_section(store, "fleet-faults", {"fault_injection": faults_report})
     if args.suite in ("stream", "all"):
         stream_report = run_stream_benchmark()
         print(format_stream_report(stream_report))
         failures += check_stream_gates(stream_report)
-        failures += check_stream_trend(stream_report)
-        payload["streaming"] = stream_report
-        _record_section(store, "fleet-stream", {"streaming": stream_report})
     if args.suite in ("resilience", "all"):
         resilience_report = run_resilience_benchmark()
         print(format_resilience_report(resilience_report))
         failures += check_resilience_gates(resilience_report)
-        payload["resilience"] = resilience_report
-        _record_section(store, "fleet-resilience", {"resilience": resilience_report})
-
-    if not args.no_write:
-        if failures:
-            # A failed gate must not become the next run's baseline (a
-            # regressed warm_seconds would mask itself on the rerun).
-            print("gates failed; BENCH_fleet.json left untouched")
-        else:
-            path = write_bench_json(payload)
-            print(f"wrote {path}")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

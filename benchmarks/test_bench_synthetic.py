@@ -1,10 +1,11 @@
 """Benchmark check: the incremental simulator fast path.
 
 Runs the 500-op synthetic-graph scenario suite through both simulator
-paths and asserts numerical equivalence.  The wall-clock speedup gates
-(≥5× on the contention scenarios, serial not slower) flake on a loaded
-host, so they run only in ``make bench`` (``python -m benchmarks``),
-which is also the only writer of ``BENCH_simulator.json``.
+paths once and asserts numerical equivalence (step times are
+deterministic, so one repeat checks as much as three).  The wall-clock
+speedup gates (≥5× on the contention scenarios, serial not slower)
+flake on a loaded host, so they run only in ``make bench``
+(``python -m benchmarks``), with three repeats.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from benchmarks.simulator_bench import (
 
 @pytest.fixture(scope="module")
 def bench_report():
-    report = run_simulator_benchmark()
+    report = run_simulator_benchmark(repeats=1)
     print()
     print(format_report(report))
     return report

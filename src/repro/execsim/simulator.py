@@ -29,7 +29,7 @@ from typing import Protocol, Sequence
 
 from repro.execsim.contention import ContentionState, RunningOpView
 from repro.execsim.events import EventKind, SimulationEvent
-from repro.execsim.op_runtime import OpTimeBreakdown, execution_time_cached
+from repro.execsim.op_runtime import execution_time_cached
 from repro.execsim.trace import ExecutionTrace, OpExecutionRecord
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.op import OpInstance
@@ -133,7 +133,6 @@ class _Running:
     request: LaunchRequest
     allocation: CoreAllocation | None
     core_ids: tuple[int, ...]
-    breakdown: OpTimeBreakdown
     base_duration: float
     start_time: float
     remaining_fraction: float = 1.0
@@ -356,7 +355,6 @@ class StepSimulator:
                 request=request,
                 allocation=allocation,
                 core_ids=core_ids,
-                breakdown=breakdown,
                 base_duration=base,
                 start_time=now,
                 last_update=now,

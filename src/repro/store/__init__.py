@@ -1,10 +1,10 @@
 """repro.store — the persistent, content-addressed run store.
 
-Records every ``run_fleet`` / ``run_scenario`` / experiment / benchmark
-invocation as a :class:`RunRecord` (full reproduction config, result
-payload with per-round history, determinism digest) under an atomic
-sharded layout borrowed from the sweep cache, and replays reports from
-those records without re-simulating (``python -m repro report``).
+Records every ``run_fleet`` / ``run_scenario`` / experiment / fleet
+smoke benchmark run as a :class:`RunRecord` (full reproduction config,
+result payload with per-round history, determinism digest) under an
+atomic sharded layout borrowed from the sweep cache, and replays reports
+from those records without re-simulating (``python -m repro report``).
 
 Recording is opt-in for library use: the default store writes only when
 ``$REPRO_STORE_DIR`` is set (the experiments CLI and the benchmark

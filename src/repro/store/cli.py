@@ -7,14 +7,12 @@ Subcommands over a :class:`~repro.store.store.RunStore` (default
 * ``show``   — one run by id prefix (``--payload`` for the full history)
 * ``diff``   — config + metric delta and digest match between two runs
 * ``table``  — policy-comparison table replayed from stored histories
-* ``bench``  — regenerate a committed ``BENCH_*.json`` section from the
-  store (``--check`` compares instead of writing and exits 1 on drift)
 * ``verify`` — walk the store, re-hash every payload; report corrupt/
   tampered entries, ``--heal`` to unlink them in bulk
 
 Everything renders from stored payloads; no subcommand ever invokes the
-simulator.  Exit codes: 0 ok, 1 drift/integrity findings, 2 bad usage
-or lookup failure.
+simulator.  Exit codes: 0 ok, 1 integrity findings, 2 bad usage or
+lookup failure.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from repro.store import reporting
 from repro.store.store import (
@@ -75,21 +72,6 @@ def _cmd_table(store: RunStore, args: argparse.Namespace) -> int:
         print(reporting.replay_report(records[0]))
     else:
         print(reporting.fleet_comparison_table(records))
-    return 0
-
-
-def _cmd_bench(store: RunStore, args: argparse.Namespace) -> int:
-    text, drift = reporting.regenerate_bench_file(
-        store, args.name, Path(args.file), check=args.check
-    )
-    if drift:
-        for line in drift:
-            print(f"DRIFT: {line}", file=sys.stderr)
-        return 1
-    if args.check:
-        print(f"{args.file}: consistent with stored section {args.name!r}")
-    else:
-        print(f"{args.file}: regenerated section {args.name!r} from the store")
     return 0
 
 
@@ -152,24 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("runs", nargs="+", help="run ids (unique prefixes ok)")
     p_table.set_defaults(func=_cmd_table)
-
-    p_bench = sub.add_parser(
-        "bench",
-        parents=[common],
-        help="regenerate a BENCH_*.json section from the store",
-    )
-    p_bench.add_argument(
-        "name", nargs="?", default="fleet-smoke", help="bench section name"
-    )
-    p_bench.add_argument(
-        "--file", default="BENCH_fleet.json", help="benchmark JSON file to regenerate"
-    )
-    p_bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare instead of writing; exit 1 on drift",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_verify = sub.add_parser(
         "verify",

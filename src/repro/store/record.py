@@ -151,7 +151,7 @@ class RunRecord:
     digest: str
     #: Top-level payload keys outside the digest (wall-clock diagnostics).
     digest_excludes: tuple[str, ...] = ()
-    #: Non-payload annotations (rendered report text, linked run ids).
+    #: Non-payload annotations (rendered report text, a benchmark row).
     extras: dict = field(default_factory=dict)
 
     def expected_digest(self) -> str:

@@ -1,12 +1,8 @@
 """Replayable reports over stored runs — zero simulator invocations.
 
 Everything here renders from :class:`~repro.store.record.RunRecord`
-payloads: listings and diffs, policy-comparison tables rebuilt through
-:meth:`repro.fleet.simulator.FleetResult.from_dict`, and regeneration of
-committed ``BENCH_*.json`` sections.  The benchmark harness's JSON merge
-semantics live here too (``benchmarks/fleet_bench.py`` delegates), so
-"regenerate from the store" and "write after a fresh run" are one code
-path and can be byte-compared.
+payloads: listings and diffs, and policy-comparison tables rebuilt
+through :meth:`repro.fleet.simulator.FleetResult.from_dict`.
 
 Layering: this module may import the fleet and experiments layers
 (deferred, for payload reconstruction) but never :mod:`benchmarks`.
@@ -16,11 +12,9 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.store.record import RunRecord
-from repro.store.store import RunStore
 from repro.utils.tables import TextTable
 
 
@@ -230,98 +224,3 @@ def _fleet_corun_result(payload: dict):
         admission_spec=payload.get("admission_spec"),
     )
 
-
-# -- BENCH_*.json regeneration -------------------------------------------------------
-
-
-def merge_bench_report(report: dict, existing: dict) -> dict:
-    """The benchmark harness's merge: section keys overwrite, other
-    suites' keys survive, ``round_compression`` sub-suites deep-merge."""
-    merged = dict(existing)
-    nested = {
-        **merged.get("round_compression", {}),
-        **report.get("round_compression", {}),
-    }
-    merged.update(report)
-    if nested:
-        merged["round_compression"] = nested
-    return merged
-
-
-def render_bench_json(report: dict) -> str:
-    """The exact byte form ``write_bench_json`` commits."""
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
-
-
-def verify_bench_section(store: RunStore, record: RunRecord) -> list[str]:
-    """Cross-check a bench section against its linked per-policy runs.
-
-    The section record's ``extras["runs"]`` maps policy -> fleet run id;
-    each linked history is replayed through ``FleetResult.from_dict``
-    and its deterministic figures compared to the section's rows.
-    Returns human-readable drift lines (empty means consistent).
-    """
-    from repro.fleet.simulator import FleetResult
-
-    drift: list[str] = []
-    for policy, run_id in record.extras.get("runs", {}).items():
-        try:
-            linked = store.get(run_id)
-        except KeyError:
-            drift.append(f"{policy}: linked run {run_id[:12]} is missing from the store")
-            continue
-        result = FleetResult.from_dict(linked.payload)
-        row = record.payload.get("policies", {}).get(policy, {})
-        replayed = {
-            "makespan": result.makespan,
-            "mean_wait_time": round(result.mean_wait_time, 6),
-            "corun_rounds": sum(m.corun_rounds for m in result.machine_reports),
-            "total_rounds": sum(m.rounds for m in result.machine_reports),
-            "blacklisted_pairs": [list(p) for p in result.blacklisted_pairs],
-        }
-        for key, expected in replayed.items():
-            if row.get(key) != expected:
-                drift.append(
-                    f"{policy}.{key}: stored history replays to {expected!r} "
-                    f"but the section says {row.get(key)!r}"
-                )
-    return drift
-
-
-def regenerate_bench_file(
-    store: RunStore,
-    name: str,
-    path: Path,
-    *,
-    check: bool = False,
-) -> tuple[str, list[str]]:
-    """Regenerate ``path``'s section ``name`` from the stored bench run.
-
-    Loads the latest ``kind="bench"`` record called ``name`` (digest
-    verified), cross-checks it against its linked fleet histories, and
-    merges its payload into the existing file content.  With ``check``
-    the file is compared instead of written and any mismatch is reported
-    as drift.  Returns ``(rendered_text, drift_lines)``.
-    """
-    record = store.latest(kind="bench", name=name)
-    if record is None:
-        raise KeyError(f"no stored bench run named {name!r} in {store.root}")
-    store.get(record.run_id)  # digest verification
-    drift = verify_bench_section(store, record)
-    existing = {}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            existing = {}
-    text = render_bench_json(merge_bench_report(record.payload, existing))
-    if check:
-        current = path.read_text() if path.exists() else ""
-        if text != current:
-            drift.append(
-                f"{path} drifts from the stored {name!r} section "
-                f"(regenerate with: python -m repro report bench {name})"
-            )
-    elif not drift:
-        path.write_text(text)
-    return text, drift

@@ -10,6 +10,7 @@ product path must emit the same events and times within 1e-9 relative.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.execsim.contention import (
@@ -19,7 +20,7 @@ from repro.execsim.contention import (
     RunningOpView,
 )
 from repro.execsim.events import EventKind, SimulationEvent
-from repro.execsim.op_runtime import execution_time
+from repro.execsim.op_runtime import OpTimeBreakdown, execution_time
 from repro.execsim.simulator import (
     LaunchRequest,
     PlacementKind,
@@ -179,7 +180,11 @@ def corun_slowdowns(
     return {key: core[key] * bandwidth[key] * unpinned[key] for key in keys}
 
 
+@dataclass
 class _ReferenceRunning(_Running):
+    #: Bandwidth demand and memory-bound fraction, re-read on every event.
+    breakdown: OpTimeBreakdown | None = None
+
     def predicted_finish(self, now: float) -> float:
         return now + self.remaining_fraction * self.base_duration * self.slowdown
 

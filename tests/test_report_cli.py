@@ -1,31 +1,37 @@
 """End-to-end run store recording + `repro report` replay gates.
 
 The acceptance bar: two `run_fleet` calls with different policies diff
-cleanly, and stored runs replay their tables / regenerate the committed
-``BENCH_fleet.json`` section **byte-identically with zero simulator
-invocations** — every simulated-execution entry point is booby-trapped
-during replay, the PR 2 warm-cache gate pattern one layer up.
+cleanly, and stored runs replay their tables **byte-identically with
+zero simulator invocations** — every simulated-execution entry point is
+booby-trapped during replay, the warm-cache gate pattern one layer up.
+The fleet smoke benchmark's store replay check and its wall-time bounds
+(the gates behind ``make report`` and the fleet suites) are pinned here
+too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from benchmarks.fleet_bench import run_fleet_benchmark, write_bench_json
+from benchmarks.fleet_bench import (
+    SMOKE_WARM_BOUND_SECONDS,
+    STREAM_WARM_BOUND_SECONDS,
+    XXL_COLD_BOUND_SECONDS,
+    check_gates,
+    check_stream_gates,
+    check_xxl_gates,
+    run_fleet_benchmark,
+)
 from repro.api import run_fleet
 from repro.execsim.simulator import StepSimulator
 from repro.execsim.standalone import StandaloneRunner
 from repro.fleet.simulator import OVERHEAD_KEYS, FleetSimulator
 from repro.store import RunStore, store as store_module
 from repro.store.cli import main as report_main
-from repro.store.reporting import (
-    diff_runs,
-    fleet_comparison_table,
-    regenerate_bench_file,
-    replay_report,
-)
+from repro.store.reporting import diff_runs, fleet_comparison_table, replay_report
 from repro.sweep import SweepCache, SweepExecutor
 
 FLEET = ("desktop-8c", "laptop-4c")
@@ -172,58 +178,68 @@ class TestExperimentReplay:
         assert capsys.readouterr().out.rstrip("\n") == live_report.rstrip("\n")
 
 
-class TestBenchRegeneration:
-    @pytest.fixture(scope="class")
-    def bench_store(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("bench_store")
-        store = RunStore(root / "store")
+def _smoke_report(*, warm_seconds: float = 0.0, replayed: bool = True) -> dict:
+    """A passing smoke-suite report but for the two given readings."""
+    return {
+        "deterministic": True,
+        "compression_equivalent": True,
+        "interference_beats_first_fit": True,
+        "policies": {
+            "first-fit": {"warm_seconds": 0.0},
+            "interference-aware": {"warm_seconds": warm_seconds},
+        },
+        "store_replay_identical": {"first-fit": True, "interference-aware": replayed},
+    }
+
+
+def _stream_report(warm_seconds: float) -> dict:
+    return {
+        "overload": {
+            "depth_bounded": True,
+            "accounting_exact": True,
+            "shed_nonzero": True,
+            "rerun_identical": True,
+            "warm_seconds": warm_seconds,
+        },
+        "equivalence": {"fault-free": True, "faulted": True},
+        "million_smoke": {"accounting_exact": True},
+    }
+
+
+def _xxl_report(cold_seconds: float) -> dict:
+    return {"identical": True, "engine": {"cold_seconds": cold_seconds}}
+
+
+class TestBenchGates:
+    def test_smoke_runs_are_recorded_and_replay(self, tmp_path):
+        store = RunStore(tmp_path / "store")
         report = run_fleet_benchmark(num_jobs=6, arrival_seed=3, jobs=1, store=store)
-        path = root / "BENCH_fleet.json"
-        write_bench_json(report, path)
-        return store, report, path
+        runs = store.list_runs()
+        assert [record.kind for record in runs] == ["fleet"] * 3
+        assert {record.name for record in runs} == {
+            f"bench-smoke/{policy}" for policy in report["policies"]
+        }
+        assert report["store_replay_identical"] == dict.fromkeys(report["policies"], True)
 
-    def test_section_and_policy_runs_recorded(self, bench_store):
-        store, report, _ = bench_store
-        section = store.latest(kind="bench", name="fleet-smoke")
-        assert section is not None
-        assert set(section.extras["runs"]) == set(report["policies"])
-        for run_id in section.extras["runs"].values():
-            assert store.get(run_id).kind == "fleet"
+    def test_a_run_that_does_not_replay_fails_the_smoke_gates(self):
+        assert check_gates(_smoke_report()) == []
+        failures = check_gates(_smoke_report(replayed=False))
+        assert len(failures) == 1 and "interference-aware" in failures[0]
 
-    def test_regenerates_byte_identically_without_simulating(
-        self, bench_store, tmp_path, monkeypatch
-    ):
-        store, _, path = bench_store
-        _trap_simulators(monkeypatch)
-        text, drift = regenerate_bench_file(
-            store, "fleet-smoke", path, check=True
-        )
-        assert drift == []
-        assert text == path.read_text()
-        fresh = tmp_path / "fresh.json"
-        fresh_text, fresh_drift = regenerate_bench_file(store, "fleet-smoke", fresh)
-        assert fresh_drift == []
-        assert fresh.read_text() == fresh_text == path.read_text()
-
-    def test_cli_check_passes_then_catches_tampering(
-        self, bench_store, capsys, monkeypatch
-    ):
-        store, _, path = bench_store
-        _trap_simulators(monkeypatch)
-        args = ["bench", "fleet-smoke", "--file", str(path), "--store", str(store.root)]
-        assert report_main(args + ["--check"]) == 0
-        capsys.readouterr()
-
-        doctored = json.loads(path.read_text())
-        doctored["policies"]["first-fit"]["makespan"] += 1.0
-        path.write_text(json.dumps(doctored, indent=2) + "\n")
-        assert report_main(args + ["--check"]) == 1
-        assert "DRIFT" in capsys.readouterr().err
-
-    def test_missing_section_is_an_error(self, tmp_path, capsys):
-        store = RunStore(tmp_path / "empty")
-        code = report_main(
-            ["bench", "no-such-section", "--store", str(store.root)]
-        )
-        assert code == 2
-        assert "no stored bench run" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "check, make_report, bound",
+        [
+            (
+                check_gates,
+                lambda seconds: _smoke_report(warm_seconds=seconds),
+                SMOKE_WARM_BOUND_SECONDS,
+            ),
+            (check_stream_gates, _stream_report, STREAM_WARM_BOUND_SECONDS),
+            (check_xxl_gates, _xxl_report, XXL_COLD_BOUND_SECONDS),
+        ],
+        ids=["smoke", "stream", "xxl"],
+    )
+    def test_wall_time_bound_is_inclusive(self, check, make_report, bound):
+        assert check(make_report(bound)) == []
+        failures = check(make_report(math.nextafter(bound, math.inf)))
+        assert len(failures) == 1 and "bound" in failures[0]
