@@ -12,7 +12,8 @@ help:
 	@echo "                   fleet loop, streamed vs materialised arrivals,"
 	@echo "                   resumed vs uninterrupted fleet run, numpy vs"
 	@echo "                   Python segment sums, grouped vs per-machine"
-	@echo "                   placement on states and state sequences, screened"
+	@echo "                   placement on states and state sequences, progress-"
+	@echo "                   blind policies vs lagging views, screened"
 	@echo "                   vs per-position tree split search, memoised vs"
 	@echo "                   reference Strategy-3 ranking, run-record encoding"
 	@echo "                   vs the full type walk, incremental vs reference"

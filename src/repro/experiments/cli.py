@@ -480,9 +480,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Like the cache, the CLI records runs by default (under
         # .run_store / $REPRO_STORE_DIR) so every invocation is
         # replayable via `python -m repro report`; --no-store or
-        # $REPRO_STORE_DISABLE opt out.
+        # $REPRO_STORE_DISABLE opt out.  The choice lasts for this
+        # invocation only: the process default it replaces comes back
+        # when main returns, so a caller in the same process (a test
+        # suite, a notebook) does not start recording.
         from repro.store import configure_store, store_disabled
+        from repro.store import store as run_store
 
+        replaced = run_store._default_store
         if args.no_store or store_disabled():
             configure_store(enabled=False)
         else:
@@ -523,6 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print()
     finally:
         executor.close()
+        run_store._default_store = replaced
     return 0
 
 

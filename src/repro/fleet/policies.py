@@ -35,7 +35,18 @@ from repro.fleet.state import DEFAULT_INTERFERENCE_THRESHOLD, FleetState, Machin
 
 
 class PlacementPolicy(Protocol):
-    """The interface the fleet simulator drives."""
+    """The interface the fleet simulator drives.
+
+    A policy may also declare a class attribute ``reads_progress``:
+    whether ``place`` reads a view's round progress, that is its
+    ``busy_until`` or ``remaining_steps`` or anything derived from them
+    (``remaining_of``, ``load``).  A policy that declares ``False`` may
+    be shown views whose progress lags ``fleet.time`` (the simulator then
+    skips bringing every machine up to date before an arrival is
+    placed); ``accepting``, ``free_slots`` and the members are always
+    current.  A policy without the attribute is treated as reading
+    progress.
+    """
 
     name: str
 
@@ -47,6 +58,7 @@ class FirstFitPolicy:
     """Place on the first machine (in fleet order) with a free slot."""
 
     name = "first-fit"
+    reads_progress = False
 
     def place(self, job: Job, fleet: FleetState) -> str | None:
         for machine in fleet.machines:
@@ -69,6 +81,7 @@ class LoadBalancedPolicy:
     """
 
     name = "load-balanced"
+    reads_progress = True
 
     def __init__(self, estimator: StepTimeEstimator) -> None:
         self.estimator = estimator
@@ -148,6 +161,7 @@ class InterferenceAwarePolicy:
     """
 
     name = "interference-aware"
+    reads_progress = True
 
     def __init__(
         self,

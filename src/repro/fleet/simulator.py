@@ -44,15 +44,22 @@ step:
   flush queues its boundaries as a *run*; after a full sync the runs
   merge in ``(time, machine index, record)`` order, the order the
   reference loop's heap pops round ends, and the fleet tracker ingests
-  the very same observation sequence.  A run that ``maxlen`` later
-  runs already push out of the history window is dropped early;
-* every arrival, fault, live deadline expiry and checkpoint capture
-  first brings the whole fleet to ``now``.  A **boundary calendar** — a
-  heap of ``(next unflushed boundary, machine index, epoch)`` — finds
-  the due machines, so that costs O(due · log) rather than an
-  O(machines) scan.  A round-end event flushes only its own machine:
-  with the queue empty nothing else is read, and with jobs queued every
-  boundary has its own event;
+  the very same observation sequence.  Only a history's latest
+  ``maxlen`` boundaries can show in it, so the merge takes just those,
+  and a run that ``maxlen`` later-ending runs already push out of the
+  window is dropped early;
+* every fault, live deadline expiry and checkpoint capture first brings
+  the whole fleet to ``now``, and so does every arrival while jobs are
+  queued or when the policy reads round progress (``reads_progress``,
+  see :class:`~repro.fleet.policies.PlacementPolicy`).  Otherwise an
+  arrival flushes a machine only when something reads it: the machine
+  the job lands on, before its segment is truncated, and every machine
+  when the job stays queued.  A **boundary calendar** — a heap of
+  ``(next unflushed boundary, machine index, epoch)`` — finds the due
+  machines, so a sync costs O(due · log) rather than an O(machines)
+  scan.  A round-end event flushes only its own machine: with the queue
+  empty nothing else is read, and with jobs queued every boundary has
+  its own event;
 * a placement onto a mid-segment machine truncates its segment to the
   current round (the new job joins at the next boundary, as always), and
   while the queue is non-empty every segment is clamped to one round —
@@ -118,7 +125,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -1110,6 +1117,12 @@ class FleetSimulator:
         fleet_runs: dict[int, tuple[deque, list]] = {}
         arrivals_pulled = 0
         ckpt = self._ckpt
+        #: A policy that reads no round progress is shown lagging views
+        #: at an arrival with the queue empty: ``lagging`` is set while
+        #: such an arrival is handled without a full sync, and every
+        #: machine is flushed to ``now`` before anything reads it.
+        reads_progress = getattr(self.policy, "reads_progress", True)
+        lagging = False
 
         def push_next_arrival() -> None:
             nonlocal seq, arrivals_pulled
@@ -1295,10 +1308,11 @@ class FleetSimulator:
                     runs = entry[1]
                     runs.append(run)
                     if maxlen is not None and len(runs) > 2 * maxlen:
-                        # A run with maxlen later-ending runs behind it
-                        # is followed by maxlen entries, and every later
-                        # flush only adds later ones: it can never
-                        # reach the window.
+                        # Each run ending later than another puts at
+                        # least one value after that run's last one, so
+                        # a run with maxlen later-ending runs behind it
+                        # can never reach the window, whatever later
+                        # flushes add.
                         runs.sort()
                         del runs[:-maxlen]
             remaining = machine.remaining_steps
@@ -1348,17 +1362,23 @@ class FleetSimulator:
             reference loop's heap pops round ends in.
 
             Only valid after a full sync: every boundary flushed later
-            then sorts after every queued one."""
+            then sorts after every queued one.  Each boundary appends at
+            least one value, so only a history's latest ``maxlen``
+            boundaries can show in it: one descending merge of the runs
+            takes just those."""
             for fleet_history, runs in fleet_runs.values():
-                for _, _, values in sorted(
-                    (boundary, index, values)
-                    for _, index, bounds, values in runs
-                    for boundary in bounds
-                ):
+                latest = heapq.merge(
+                    *[
+                        zip(reversed(bounds), repeat(index), repeat(values))
+                        for _, index, bounds, values in runs
+                    ],
+                    reverse=True,
+                )
+                for _, _, values in reversed([*islice(latest, fleet_history.maxlen)]):
                     fleet_history.extend(values)
             fleet_runs.clear()
 
-        def sync_to(now_time: float) -> None:
+        def sync_to(now_time: float, inclusive: bool | None = None) -> None:
             """Flush every machine's boundaries at or before ``now_time``.
 
             The calendar finds the due machines and each flushes all of
@@ -1366,9 +1386,11 @@ class FleetSimulator:
             global order is restored by ``merge_fleet_runs``.  While the
             queue is non-empty, boundaries at exactly ``now_time`` are
             left alone: each has its own round-end event, and the
-            reference loop dispatches between them.
+            reference loop dispatches between them.  ``inclusive``
+            overrides that rule for a sync an arrival deferred.
             """
-            inclusive = not pending
+            if inclusive is None:
+                inclusive = not pending
             while calendar:
                 boundary, index, epoch = calendar[0]
                 if boundary > now_time or (boundary == now_time and not inclusive):
@@ -1523,6 +1545,14 @@ class FleetSimulator:
                 if not machine.round_active:
                     start_segment(machine)
                 else:
+                    if lagging:
+                        # This arrival skipped the sync: the next
+                        # boundary is the first after ``now``.
+                        index = int(choice[1:])
+                        flush(machine, index, now, True)
+                        heapq.heappush(
+                            calendar, (machine.busy_until, index, machine.epoch)
+                        )
                     # The new member joins at the next boundary: the mix
                     # changes there, so the segment must end there too.
                     truncate(machine)
@@ -1694,8 +1724,14 @@ class FleetSimulator:
                 push_next_arrival()
                 # Every admission decision is a mandatory boundary:
                 # replay due rounds first (the queue-emptiness gate must
-                # be read *before* this arrival joins).
-                sync_to(now)
+                # be read *before* this arrival joins).  With the queue
+                # empty, a policy that reads no round progress sees
+                # nothing a mid-segment flush changes (segment ends at
+                # or before ``now`` have popped already), so the sync
+                # waits until a machine is read.
+                lagging = not (reads_progress or pending)
+                if not lagging:
+                    sync_to(now)
                 job: Job = payload  # type: ignore[assignment]
                 offered += 1
                 admitted = True
@@ -1717,6 +1753,12 @@ class FleetSimulator:
                             events, (now + deadline, _EXPIRE, next_seq(), job)
                         )
                     dispatch()
+                if lagging:
+                    lagging = False
+                    if pending:
+                        # The job stayed queued: every segment is cut
+                        # at its next boundary below.
+                        sync_to(now, True)
             elif kind == _FAULT:
                 events_processed += 1
                 # Every fault instant is a mandatory segment boundary:

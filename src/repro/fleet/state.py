@@ -46,7 +46,14 @@ class Placement:
 
 @dataclass(frozen=True)
 class MachineView:
-    """Read-only snapshot of one machine, as exposed to policies."""
+    """Read-only snapshot of one machine, as exposed to policies.
+
+    A policy that declares ``reads_progress = False`` (see
+    :class:`~repro.fleet.policies.PlacementPolicy`) may be shown a view
+    whose ``busy_until`` and ``remaining_steps`` are those of an earlier
+    round boundary of the running segment (``busy_until`` may then lie
+    before the state's ``time``); every other field is current.
+    """
 
     machine_id: str
     #: Zoo name of the hardware (``"desktop-8c"``, ...).
@@ -110,7 +117,12 @@ class MachineView:
 
 @dataclass(frozen=True)
 class FleetState:
-    """Everything a placement policy may look at when placing one job."""
+    """Everything a placement policy may look at when placing one job.
+
+    For a policy that declares ``reads_progress = False``, the views'
+    ``busy_until`` and ``remaining_steps`` may lag ``time`` (see
+    :class:`MachineView`).
+    """
 
     time: float
     machines: tuple[MachineView, ...]

@@ -6,6 +6,8 @@ These run reduced configurations to stay fast; the benchmark harness under
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
@@ -23,6 +25,7 @@ from repro.experiments import (
     table7_gpu_corun,
 )
 from repro.experiments.cli import main as cli_main
+from repro.scenarios import Workload, get_scenario
 
 
 class TestExperimentRegistry:
@@ -166,6 +169,10 @@ class TestGpuExperiments:
 
 
 class TestCli:
+    """The CLI records every run by default; these tests point
+    ``--store-dir`` into ``tmp_path`` so no record lands in the
+    checkout's ``.run_store/``."""
+
     def test_list(self, capsys):
         assert cli_main(["--list"]) == 0
         out = capsys.readouterr().out
@@ -178,16 +185,41 @@ class TestCli:
         # Keep the CLI's default-on cache out of the repo's .sweep_cache:
         # a stale entry there could otherwise mask model-code edits.
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
-        assert cli_main(["table3"]) == 0
+        assert cli_main(["table3", "--store-dir", str(tmp_path / "store")]) == 0
         out = capsys.readouterr().out
         assert "Table III" in out
 
+    def test_store_choice_lasts_one_invocation(self, capsys, tmp_path, monkeypatch):
+        # The CLI opts the process into recording for its own runs only:
+        # the default store it replaced comes back, and a later library
+        # run in the same process records nothing.
+        from repro.api import run_scenario
+        from repro.store import default_store
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        before = default_store()
+        store_dir = tmp_path / "store"
+        assert cli_main(["table3", "--no-cache", "--store-dir", str(store_dir)]) == 0
+        assert "Table III" in capsys.readouterr().out
+        recorded = sorted(store_dir.rglob("*.pkl"))
+        assert recorded
+        assert default_store() is before
+        scenario = get_scenario("dcgan-desktop")
+        outcome = run_scenario(
+            dataclasses.replace(scenario, workloads=(Workload(synthetic_ops=40),))
+        )
+        assert outcome.run_id is None
+        assert sorted(store_dir.rglob("*.pkl")) == recorded
+        assert not (tmp_path / ".run_store").exists()
+
     def test_jobs_and_cache_flags(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
-        assert cli_main(["table3", "--jobs", "2", "--cache-dir", str(cache_dir)]) == 0
+        store = ["--store-dir", str(tmp_path / "store")]
+        assert cli_main(["table3", "--jobs", "2", "--cache-dir", str(cache_dir), *store]) == 0
         assert "Table III" in capsys.readouterr().out
         assert any(cache_dir.rglob("*.pkl"))  # results were persisted
-        assert cli_main(["table3", "--no-cache"]) == 0
+        assert cli_main(["table3", "--no-cache", *store]) == 0
         assert "Table III" in capsys.readouterr().out
 
     def test_invalid_jobs_rejected(self, capsys):
@@ -215,7 +247,7 @@ class TestCli:
         )
         monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
         monkeypatch.setitem(experiments_package.ALL_EXPERIMENTS, "wrapped", module)
-        assert cli.main(["wrapped"]) == 0
+        assert cli.main(["wrapped", "--store-dir", str(tmp_path / "store")]) == 0
         assert "Table III" in capsys.readouterr().out
         assert "executor" in wrapped_run.called_with
         assert "reduced" not in wrapped_run.called_with  # run() doesn't take it

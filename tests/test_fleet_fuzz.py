@@ -209,6 +209,43 @@ DEAD_FLEET = dict(
 )
 
 
+#: First-fit reads no round progress, so its arrivals skip the full sync
+#: while the queue is empty.  Here jobs land on running machines in the
+#: middle of their segments (one exactly at a boundary, 5.0 s), and the
+#: machine each lands on must first be brought up to the arrival.
+LAZY_TARGET = dict(
+    machines=["desktop-8c", "laptop-4c"],
+    jobs=[
+        Job(name="j00", workload=SYN_A, num_steps=40, arrival_time=0.0),
+        Job(name="j01", workload=SYN_B, num_steps=30, arrival_time=5.0),
+        Job(name="j02", workload=SYN_C, num_steps=25, arrival_time=20.25),
+        Job(name="j03", workload=SYN_A, num_steps=12, arrival_time=31.5),
+    ],
+    faults=None,
+    policy="first-fit",
+    max_corun=2,
+    admission=None,
+    interference_threshold=0.75,
+)
+
+#: Every machine is full and in the middle of its segment when j02
+#: arrives (at m0's boundary 12.0 s), so j02 stays queued and every
+#: segment is cut at its next boundary after the arrival.
+LAZY_QUEUED = dict(
+    machines=["desktop-8c", "laptop-4c"],
+    jobs=[
+        Job(name="j00", workload=SYN_A, num_steps=40, arrival_time=0.0),
+        Job(name="j01", workload=SYN_B, num_steps=20, arrival_time=0.5),
+        Job(name="j02", workload=SYN_C, num_steps=10, arrival_time=12.0),
+    ],
+    faults=None,
+    policy="first-fit",
+    max_corun=1,
+    admission=None,
+    interference_threshold=0.75,
+)
+
+
 def simulator(case, compressed):
     return (FleetSimulator if compressed else ReferenceFleetSimulator)(
         case["machines"],
@@ -246,8 +283,41 @@ def outcome(case, compressed):
 )
 @given(case=fleet_runs())
 @example(case=DEAD_FLEET)
+@example(case=LAZY_TARGET)
+@example(case=LAZY_QUEUED)
 def test_fast_loop_matches_reference(case):
     assert outcome(case, compressed=True) == outcome(case, compressed=False)
+
+
+@pytest.mark.parametrize("case", [LAZY_TARGET, LAZY_QUEUED], ids=["target", "queued"])
+def test_lazy_arrivals_keep_time_in_order(case, tmp_path):
+    # A snapshot at every event records the loop's ``now``, which must
+    # never run backwards: a segment cut at a boundary the arrival left
+    # unflushed would push its end event into the past, and the run can
+    # still end in the reference loop's state.
+    times = []
+    save = Checkpointer.save
+
+    def recording_save(self, events, state, **kwargs):
+        times.append(state["now"])
+        return save(self, events, state, **kwargs)
+
+    with mock.patch.object(checkpoint_module, "_CAN_FORK", False), mock.patch.object(
+        Checkpointer, "save", recording_save
+    ):
+        sim = simulator(case, compressed=True)
+        result = sim.run(
+            case["jobs"],
+            prewarm=False,
+            checkpoint=CheckpointConfig(interval=1, root=tmp_path),
+            run_id="time-order",
+        )
+    # One snapshot between every two consecutive events.
+    assert len(times) == result.events_processed - 1
+    assert times == sorted(times)
+    assert (deterministic_dict(result), sim.tracker.snapshot()) == outcome(
+        case, compressed=False
+    )
 
 
 @settings(

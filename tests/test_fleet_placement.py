@@ -42,7 +42,13 @@ from repro.fleet import (
     Straggler,
     generate_trace,
 )
-from repro.fleet.policies import FirstFitPolicy, InterferenceAwarePolicy
+from repro.fleet.policies import (
+    FirstFitPolicy,
+    InterferenceAwarePolicy,
+    LoadBalancedPolicy,
+    available_policies,
+    make_policy,
+)
 from repro.fleet.state import FleetState, MachineView
 from repro.scenarios import Workload
 
@@ -355,6 +361,91 @@ class TestGroupedMatchesOracle:
         assert policy.place(job("q0", SYN_A), state) == "m0"
         tracker.mark_blacklisted("kind-a", "kind-a")
         assert policy.place(job("q1", SYN_A), state) == "m1"
+
+
+def with_progress(state, progress):
+    """``state`` with each view's ``busy_until`` and remaining steps
+    replaced by ``progress``'s ``(busy_until, steps)`` pairs, one per
+    view; slots, status and members stay as they are."""
+    machines = tuple(
+        dataclasses.replace(
+            view,
+            busy_until=busy_until,
+            remaining_steps=tuple(
+                (name, step) for (name, _), step in zip(view.remaining_steps, steps)
+            ),
+        )
+        for view, (busy_until, steps) in zip(state.machines, progress)
+    )
+    return dataclasses.replace(state, machines=machines)
+
+
+@st.composite
+def progress_rewrites(draw):
+    """A drawn fleet state and the same state with drawn progress: the
+    lag a policy that declares ``reads_progress = False`` may be shown."""
+    state, *_ = draw(fleet_scenarios())
+    progress = [
+        (
+            draw(st.floats(min_value=0.0, max_value=state.time + 50.0)),
+            draw(
+                st.lists(
+                    st.integers(min_value=1, max_value=400),
+                    min_size=len(view.remaining_steps),
+                    max_size=len(view.remaining_steps),
+                )
+            ),
+        )
+        for view in state.machines
+    ]
+    return state, with_progress(state, progress)
+
+
+def progress_blind_policies():
+    """Every registered policy that declares it reads no round progress."""
+    policies = [
+        make_policy(name, estimator=estimator(), tracker=InterferenceTracker())
+        for name in available_policies()
+    ]
+    return [policy for policy in policies if not getattr(policy, "reads_progress", True)]
+
+
+class TestReadsProgress:
+    """A policy that declares ``reads_progress = False`` is shown lagging
+    ``busy_until`` and remaining steps at arrivals, so its answer must not
+    depend on them."""
+
+    def test_first_fit_is_the_registered_progress_blind_policy(self):
+        assert [policy.name for policy in progress_blind_policies()] == ["first-fit"]
+
+    @given(rewrite=progress_rewrites())
+    @settings(
+        max_examples=FUZZ_EXAMPLES or 200,
+        derandomize=not FUZZ_EXAMPLES,
+        deadline=None,
+    )
+    def test_answer_ignores_progress(self, rewrite):
+        state, lagged = rewrite
+        for policy in progress_blind_policies():
+            for queued in state.queue:
+                assert policy.place(queued, lagged) == policy.place(queued, state)
+
+    def test_rewrite_moves_a_policy_that_reads_progress(self):
+        # Two equal desktops, each running one kind-a job: load-balanced
+        # picks the one with less backlog, and the rewrite swaps which
+        # one that is.  First-fit keeps its answer.
+        machines = (
+            view(0, "desktop-8c", [job("r0")], [], {"r0": 1}, 1, 0.0),
+            view(1, "desktop-8c", [job("r1")], [], {"r1": 4}, 1, 0.0),
+        )
+        state = FleetState(time=0.0, machines=machines, queue=(job("q"),))
+        lagged = with_progress(state, [(1.5, [4]), (0.5, [1])])
+        balanced = LoadBalancedPolicy(estimator())
+        assert balanced.reads_progress
+        assert balanced.place(job("q"), state) == "m0"
+        assert balanced.place(job("q"), lagged) == "m1"
+        first_fit = FirstFitPolicy()
+        assert first_fit.place(job("q"), state) == first_fit.place(job("q"), lagged) == "m0"
 
 
 def deterministic_dict(result):
